@@ -9,9 +9,10 @@ fuzzy search over a distributed text corpus), built Ray-Data-first:
   terms) -> ``groupby(part).map_groups`` into delta-encoded, varbyte-compressed
   posting segments with per-block max-score metadata and per-partition lineage
   manifests (resumable);
-- query: stateful actor-pool executors (``map_batches(QueryExecutor, ...)``)
-  answering top-k BM25 with optional block-max WAND pruning, and fuzzy matching
-  via Levenshtein-banded expansion over the sorted term dictionary;
+- query: executors run as Ray Data tasks (``stages.index_stage``) over each
+  worker's cached view of the current index generation, answering top-k BM25
+  with optional block-max WAND pruning, and fuzzy matching via
+  Levenshtein-banded expansion over the sorted term dictionary;
 - conformance: a pure single-node oracle replicating the reference's windowed
   approximate-match semantics (see SURVEY.md section 8) diff-tested in pytest.
 

@@ -24,7 +24,6 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from distributed_text_search_ray.functions.lev import windowed_match_counts_multi
-from distributed_text_search_ray.util import resolve_concurrency
 
 import ray
 

@@ -14,8 +14,8 @@ parse time: complements need the full doc-id universe, which an index
 partition doesn't hold — the standard IR restriction (negation only
 narrows a positive result).
 
-Evaluation is posting-list set algebra on the loaded ``IndexView`` inside
-an actor pool (same no-shuffle hash-routed read path as BM25): AND =
+Evaluation is posting-list set algebra on the worker's cached ``IndexView``
+inside Ray tasks (same no-shuffle hash-routed read path as BM25): AND =
 ``np.intersect1d`` rarest-first (intermediates bounded by the rarest
 term's df), OR = ``np.union1d``, AND NOT = ``np.setdiff1d``. Terms are
 run through the index analyzer, so "Value" matches the term "value".
@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from distributed_text_search_ray.stages.executor import IndexView, as_view
+from distributed_text_search_ray.stages.index_stage import index_stage
 from distributed_text_search_ray.util import resolve_concurrency
 
 
@@ -81,13 +83,12 @@ def parse_boolean_query(query: str) -> list[list[Lit]]:
 
 
 class _BooleanExecutor:
-    """Actor-pool stage: (query_id, query) rows -> (query_id, doc_id) rows."""
+    """Query stage: (query_id, query) rows -> (query_id, doc_id) rows."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str | IndexView):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import IndexView
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def _analyze(self, term: str) -> str:
@@ -149,15 +150,10 @@ def boolean_search(
 ) -> ray.data.Dataset:
     """(query_id, doc_id) for every doc satisfying each boolean query."""
     items = [{"query_id": int(q), "query": str(s)} for q, s in queries]
-    # batch_size=1: one query = one task, so a small interactive batch uses
-    # the whole actor pool instead of serializing inside one actor (match
-    # sets are corpus-scale, so per-query work dwarfs per-task overhead)
-    return ray.data.from_items(items).map_batches(
-        _BooleanExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    # batch_size=1: a small interactive batch still spreads over one task
+    # per CPU, and each match set (corpus-scale) is its own output batch
+    return index_stage(
+        items, _BooleanExecutor, index_dir, batch_size=1, concurrency=concurrency
     )
 
 
@@ -168,10 +164,9 @@ class _RelevanceStatsExecutor(_BooleanExecutor):
     never leaves the task — the emitted rows are one per-query COUNT row
     (doc_id = -1, n_part = |relevant set|) plus one row per top-k hit doc
     that is relevant (n_part = 0). ``hit_docs``: {query_id: sorted int64
-    array of that query's ranked docs} — k-sized, broadcast in the actor
-    constructor."""
+    array of that query's ranked docs} — k-sized, shipped with the stage."""
 
-    def __init__(self, index_dir: str, hit_docs: dict[int, np.ndarray]):
+    def __init__(self, index_dir: str | IndexView, hit_docs: dict[int, np.ndarray]):
         super().__init__(index_dir)
         self.hit_docs = {int(q): np.asarray(d, dtype=np.int64) for q, d in hit_docs.items()}
 
@@ -204,11 +199,11 @@ class _RelevanceStatsExecutor(_BooleanExecutor):
 
 class _FacetExecutor(_BooleanExecutor):
     """Boolean matches rolled up per attribute value: (query_id, value,
-    n_docs). Attribute id-arrays load once per actor from the build-time
+    n_docs). Attribute id-arrays load once per task from the build-time
     sidecar (small value vocabulary); per query the count per value is one
     searchsorted membership pass over the match set."""
 
-    def __init__(self, index_dir: str, attr: str):
+    def __init__(self, index_dir: str | IndexView, attr: str):
         super().__init__(index_dir)
         import glob
         import os
@@ -216,7 +211,7 @@ class _FacetExecutor(_BooleanExecutor):
         import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
-        attr_dir = os.path.join(index_dir, "attributes")
+        attr_dir = os.path.join(self.view.index_dir, "attributes")
         files = sorted(glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
         if not files:
             raise FileNotFoundError(
@@ -276,12 +271,8 @@ def facet_counts(
     """(query_id, value, n_docs): boolean-query matches faceted by a
     build-time attribute (e.g. lang). Values with zero matches are omitted."""
     items = [{"query_id": int(q), "query": str(s)} for q, s in queries]
-    return ray.data.from_items(items).map_batches(
-        _FacetExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "attr": attr},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, _FacetExecutor, index_dir, concurrency=concurrency, attr=attr
     )
 
 

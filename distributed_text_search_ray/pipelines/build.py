@@ -62,7 +62,7 @@ def index_stats(index_dir: str) -> "pa.Table":
     import numpy as np
     import pyarrow as pa
 
-    from distributed_text_search_ray.pipelines.search import DictionaryExpander
+    from distributed_text_search_ray.stages.executor import DictionaryExpander
     from distributed_text_search_ray.util import round_half_away
 
     meta = read_index_meta(index_dir)
@@ -335,13 +335,14 @@ def build_index(
 def delete_docs(index_dir: str, doc_ids) -> dict:
     """Mark documents deleted WITHOUT rebuilding (Lucene-style tombstones).
 
-    Appends to ``deleted.parquet`` atomically (temp file + rename); every
-    ``IndexView`` constructed afterwards excludes the ids from all posting
-    and position fetches across every query path (BM25/fuzzy/boolean/
-    phrase/facets). Corpus stats stay at build-time values until a rebuild
-    — the standard stale-stats contract. ``merge_indexes`` unions sources'
-    tombstones into the output, so deletions survive merges; a full
-    rebuild over the surviving corpus is the compaction path.
+    Appends to ``deleted.parquet`` atomically (temp file + rename), which
+    starts a new index generation: every query task started afterwards
+    excludes the ids from all posting and position fetches across every
+    query path (BM25/fuzzy/boolean/phrase/facets). Corpus stats stay at
+    build-time values until a rebuild — the standard stale-stats contract.
+    ``merge_indexes`` unions sources' tombstones into the output, so
+    deletions survive merges; a full rebuild over the surviving corpus is
+    the compaction path.
     """
     import numpy as np
     import pyarrow as pa

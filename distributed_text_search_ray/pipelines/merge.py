@@ -48,6 +48,7 @@ from distributed_text_search_ray.config import IndexConfig
 from distributed_text_search_ray.util import agg_rename
 from distributed_text_search_ray.stages.executor import config_from_meta, load_meta
 from distributed_text_search_ray.state import manifest as mf
+from distributed_text_search_ray.state.alias import resolve_index
 from distributed_text_search_ray.state.segment import (
     build_segment_tables,
     read_segment_pairs,
@@ -813,6 +814,7 @@ def upsert_docs(
     from distributed_text_search_ray.pipelines.build import delete_docs
     from distributed_text_search_ray.sources.corpus import read_corpus
 
+    index_dir = resolve_index(index_dir)
     ids = np.sort(
         np.asarray(
             [

@@ -13,7 +13,7 @@ often" — two ways:
   conformance oracle for the indexed path.
 - ``phrase_search_indexed``: index-assisted, for DEFAULT (v3, position-free)
   indexes: candidate docs = the INTERSECTION of the phrase terms' posting
-  lists (actor-pool stage over the loaded ``IndexView``, pure hash routing,
+  lists (task stage over the worker's cached ``IndexView``, pure hash routing,
   no shuffle), then positional verification scans ONLY the candidate docs'
   content (broadcast-id semi-join against the corpus, then the same
   vectorized scan). On a selective phrase the verify stage touches a
@@ -41,7 +41,8 @@ import ray.data
 from distributed_text_search_ray.config import AnalyzerConfig
 from distributed_text_search_ray.functions.hashing import _token_hashes
 from distributed_text_search_ray.functions.tokenize import tokenizer_for
-from distributed_text_search_ray.util import resolve_concurrency
+from distributed_text_search_ray.stages.executor import IndexView, as_view
+from distributed_text_search_ray.stages.index_stage import index_stage
 
 _OUT_SCHEMA = pa.schema(
     [
@@ -210,17 +211,16 @@ def _gather_global(
 
 
 class _PhrasePositionalExecutor:
-    """Actor-pool stage for POSITIONAL (v4) indexes: (query_id, phrase)
+    """Query stage for POSITIONAL (v4) indexes: (query_id, phrase)
     rows -> exact (query_id, doc_id, n_occurrences) from the index alone —
     no content re-read. Candidates = posting intersection; occurrence
     check = chained position-membership (start s matches iff term_i has
     position s+i for every i), searchsorted per candidate doc."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str | IndexView):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import IndexView
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -251,27 +251,23 @@ def phrase_search_positional(
     third, fully index-resident plan (scan / index-assisted verify /
     positional). Result-identical to ``phrase_match_counts``."""
     items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
-    return ray.data.from_items(items).map_batches(
-        _PhrasePositionalExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        # one query per task: positional decode is the heavy unit of work
-        # (a stopword-dense query decodes millions of positions), so a
-        # small query batch must still fan out across the whole actor pool
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    # one query per batch: positional decode is the heavy unit of work (a
+    # stopword-dense query decodes millions of positions), so a small query
+    # batch must still fan out over one task per CPU
+    return index_stage(
+        items, _PhrasePositionalExecutor, index_dir, batch_size=1,
+        concurrency=concurrency,
     )
 
 
 class _PhraseCandidates:
-    """Actor-pool stage: (query_id, phrase) rows -> (query_id, doc_id)
+    """Query stage: (query_id, phrase) rows -> (query_id, doc_id)
     candidate rows via posting-list intersection on the loaded index."""
 
-    def __init__(self, index_dir: str):
-        from distributed_text_search_ray.stages.executor import IndexView
+    def __init__(self, index_dir: str | IndexView):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -315,7 +311,7 @@ def phrase_search_indexed(
 ) -> ray.data.Dataset:
     """Index-assisted path, result-identical to ``phrase_match_counts``.
 
-    Phase 1 intersects the phrase terms' posting lists on executor actors
+    Phase 1 intersects the phrase terms' posting lists in query tasks
     (candidate docs contain every term SOMEWHERE — a superset of phrase
     matches). Phase 2 re-reads only candidate docs (vectorized ``is_in``
     semi-join filter; candidate-id set broadcast via closure capture) and
@@ -332,17 +328,9 @@ def phrase_search_indexed(
     phrases = list(phrases)
     analyzer = analyzer or AnalyzerConfig()
     items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
-    cand = (
-        ray.data.from_items(items)
-        .map_batches(
-            _PhraseCandidates,
-            fn_constructor_kwargs={"index_dir": index_dir},
-            batch_format="pyarrow",
-            batch_size=8,
-            concurrency=resolve_concurrency(concurrency),
-        )
-        .materialize()  # small: bounded by rarest-term df per phrase
-    )
+    cand = index_stage(
+        items, _PhraseCandidates, index_dir, concurrency=concurrency
+    ).materialize()  # small: bounded by rarest-term df per phrase
     cand_tbl = pa.concat_tables(ray.get(cand.to_arrow_refs()))
     all_ids = pc.unique(cand_tbl.column("doc_id"))
     counter = _PhraseScanCounter(phrases, analyzer)
@@ -361,7 +349,7 @@ def phrase_search_indexed(
 
 
 class _ProximityExecutor:
-    """Actor-pool stage for positional (v4) indexes: (query_id, query) rows
+    """Query stage for positional (v4) indexes: (query_id, query) rows
     -> (query_id, doc_id, min_span) for docs where one occurrence of EVERY
     distinct query term fits in a token window with max(pos) - min(pos) <=
     ``max_span`` (proximity / within-window search; min_span is the tightest
@@ -377,13 +365,12 @@ class _ProximityExecutor:
     sane max_span reaches, so such windows self-filter.
     """
 
-    def __init__(self, index_dir: str, max_span: int):
+    def __init__(self, index_dir: str | IndexView, max_span: int):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import IndexView
 
         if not (0 <= max_span < (1 << 31)):
             raise ValueError(f"max_span must be in [0, 2^31): {max_span}")
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
         self.max_span = max_span
 
@@ -469,14 +456,11 @@ def proximity_search(
     queries match every containing doc with min_span 0; a query with any
     index-absent term matches nothing."""
     items = [{"query_id": int(q), "query": str(p)} for q, p in queries]
-    return ray.data.from_items(items).map_batches(
-        _ProximityExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "max_span": max_span},
-        batch_format="pyarrow",
-        # one query per task — same fan-out rationale as the positional
-        # phrase stage above
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    # one query per batch — same fan-out rationale as the positional phrase
+    # stage above
+    return index_stage(
+        items, _ProximityExecutor, index_dir, batch_size=1, concurrency=concurrency,
+        max_span=max_span,
     )
 
 
@@ -515,7 +499,7 @@ FROM sp GROUP BY doc_id HAVING min(span) <= {max_span}
 
 
 class _SpanNearExecutor:
-    """Actor-pool stage for ORDERED span-near search (Lucene ``span_near``
+    """Query stage for ORDERED span-near search (Lucene ``span_near``
     with ``in_order=true``): query tokens, in QUERY ORDER and with
     duplicates preserved, must appear at strictly increasing positions
     p1 < p2 < ... < pk; the match's gap is ``pk - p1 - (k-1)`` (the number
@@ -529,13 +513,12 @@ class _SpanNearExecutor:
     shrinks the downstream option set). Complements ``_ProximityExecutor``,
     which is the UNORDERED within-window variant."""
 
-    def __init__(self, index_dir: str, slop: int):
+    def __init__(self, index_dir: str | IndexView, slop: int):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import IndexView
 
         if not (0 <= slop < (1 << 31)):
             raise ValueError(f"slop must be in [0, 2^31): {slop}")
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
         self.slop = slop
 
@@ -621,12 +604,9 @@ def span_near_search(
     phrases); a single-token query matches every containing doc with
     min_gap 0; a query with any index-absent token matches nothing."""
     items = [{"query_id": int(q), "query": str(p)} for q, p in queries]
-    return ray.data.from_items(items).map_batches(
-        _SpanNearExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "slop": slop},
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, _SpanNearExecutor, index_dir, batch_size=1, concurrency=concurrency,
+        slop=slop,
     )
 
 
@@ -674,7 +654,7 @@ FROM s{k} GROUP BY doc_id HAVING min(cur - p1 - {k - 1}) <= {slop}
 
 
 class _PhrasePrefixExecutor:
-    """Actor-pool stage for match_phrase_prefix (ES search-as-you-type):
+    """Query stage for match_phrase_prefix (ES search-as-you-type):
     (query_id, phrase) rows where the LAST token is a prefix -> exact
     (query_id, doc_id, n_occurrences) from a positional (v4) index.
 
@@ -686,14 +666,12 @@ class _PhrasePrefixExecutor:
     merge into ONE sorted membership array, so the final chain step is the
     same searchsorted the exact phrase path uses — no per-term loop."""
 
-    def __init__(self, index_dir: str, max_expansions: int = 50):
+    def __init__(self, index_dir: str | IndexView, max_expansions: int = 50):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.pipelines.search import DictionaryExpander
-        from distributed_text_search_ray.stages.executor import IndexView
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
-        self.expander = DictionaryExpander(index_dir)
+        self.expander = self.view.dictionary()
         self.max_expansions = int(max_expansions)
 
     def _expand_prefix(self, prefix: str) -> list[str]:
@@ -817,13 +795,7 @@ def match_phrase_prefix(
     preceding tokens must chain consecutively, answered purely from a
     positional (v4) index. Returns (query_id, doc_id, n_occurrences)."""
     items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
-    return ray.data.from_items(items).map_batches(
-        _PhrasePrefixExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "max_expansions": max_expansions,
-        },
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, _PhrasePrefixExecutor, index_dir, batch_size=1, concurrency=concurrency,
+        max_expansions=max_expansions,
     )

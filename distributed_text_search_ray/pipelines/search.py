@@ -1,9 +1,11 @@
 """Query pipelines: exact top-k BM25 and fuzzy (Levenshtein) search.
 
-Queries fan out over a stateful executor actor pool via ``map_batches`` — no
-shuffle on the query path at all (term -> partition routing is pure hash; the
-small query set is the broadcast side, the reference analog being every rank
-parsing the full pattern list from argv, ``src/flexible_mpi.c:325``).
+Queries fan out as Ray tasks via ``stages.index_stage`` — each task builds
+its executor around the worker's cached view of the current index
+generation — with no shuffle on the query path at all (term -> partition
+routing is pure hash; the small query set is the broadcast side, the
+reference analog being every rank parsing the full pattern list from argv,
+``src/flexible_mpi.c:325``).
 
 Fuzzy matching follows the north_star: Levenshtein-banded expansion over the
 sorted global term dictionary (built in build phase B), then the expanded term
@@ -23,15 +25,21 @@ import pyarrow.parquet as pq
 import ray.data
 
 from distributed_text_search_ray.functions.lev import bounded_term_distances
-from distributed_text_search_ray.stages.executor import IndexView, QueryExecutor
-from distributed_text_search_ray.util import resolve_concurrency, round_half_away
+from distributed_text_search_ray.stages.executor import (
+    DictionaryExpander,  # re-exported: callers import it from this module
+    IndexView,
+    QueryExecutor,
+    as_view,
+    open_view,
+)
+from distributed_text_search_ray.stages.index_stage import index_stage
+from distributed_text_search_ray.util import round_half_away
 
 
-def _queries_dataset(queries) -> ray.data.Dataset:
+def _query_rows(queries) -> list[dict] | ray.data.Dataset:
     if isinstance(queries, ray.data.Dataset):
         return queries
-    items = [{"query_id": int(q[0]), "query": str(q[1])} for q in queries]
-    return ray.data.from_items(items)
+    return [{"query_id": int(q[0]), "query": str(q[1])} for q in queries]
 
 
 def search_topk(
@@ -47,13 +55,9 @@ def search_topk(
     corpora), "taat" (exhaustive), "wand" (decode-skipping Block-Max
     MaxScore over the stored block metadata) — all three produce
     bit-identical results (tested)."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        QueryExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=8,  # small batches spread a query set across the pool
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
+        topk=topk, mode=mode,
     )
 
 
@@ -70,13 +74,9 @@ def search_topk_ql(
     log-probabilities (negative; higher = better)."""
     from distributed_text_search_ray.stages.executor import QLTopkExecutor
 
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        QLTopkExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk, "mu": mu},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), QLTopkExecutor, index_dir, concurrency=concurrency,
+        topk=topk, mu=mu,
     )
 
 
@@ -95,17 +95,9 @@ def search_topk_federated(
     ``mode``: "maxscore" (default) or "taat"; WAND is merge-only."""
     from distributed_text_search_ray.stages.executor import FederatedQueryExecutor
 
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        FederatedQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dirs": list(index_dirs),
-            "topk": topk,
-            "mode": mode,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), FederatedQueryExecutor, list(index_dirs),
+        concurrency=concurrency, topk=topk, mode=mode,
     )
 
 
@@ -120,17 +112,9 @@ def search_topk_msm(
     ``min_should_match`` DISTINCT query terms (the boolean OR query's
     precision dial: msm=1 is plain OR, msm=len(terms) is pure AND).
     Surviving docs keep their exact unfiltered BM25 scores."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        QueryExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "topk": topk,
-            "min_should_match": min_should_match,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
+        topk=topk, min_should_match=min_should_match,
     )
 
 
@@ -184,20 +168,13 @@ def search_facets(
     set. Returns (query_id, <facet_col>, n_docs).
 
     Scale shape: the hit set never lands on the driver — MatchSetExecutor
-    emits (query_id, doc_id) rows from the actor pool, a hash join attaches
+    emits (query_id, doc_id) rows from the query tasks, a hash join attaches
     the facet attribute (documents-sized side stays distributed), per-batch
     pyarrow partial counts collapse the exchange to O(queries x facet
     cardinality) rows before the final per-query reduce."""
-    qds = _queries_dataset(queries)
-    hits = qds.map_batches(
-        MatchSetExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "min_should_match": min_should_match,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    hits = index_stage(
+        _query_rows(queries), MatchSetExecutor, index_dir, concurrency=concurrency,
+        min_should_match=min_should_match,
     )
     from distributed_text_search_ray.pipelines.joins import hash_join
 
@@ -283,18 +260,13 @@ def function_score_topk(
     ln/exp whose last-ulp behavior differs between numpy and the SQL twin's
     libm, so the 6-dp-rounded ranking is reproducible bit-for-bit.
 
-    Scale shape: the full scored set streams out of the actor pool
+    Scale shape: the full scored set streams out of the query tasks
     (ScoredSetExecutor, vectorized), a hash join attaches the attribute,
     the boost is a vectorized map, and the per-query top-k is the only
     per-group step. Returns (query_id, rank, doc_id, score) with 6-dp
     scores, ties by doc_id."""
-    qds = _queries_dataset(queries)
-    hits = qds.map_batches(
-        ScoredSetExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    hits = index_stage(
+        _query_rows(queries), ScoredSetExecutor, index_dir, concurrency=concurrency,
     )
     from distributed_text_search_ray.pipelines.joins import hash_join
 
@@ -474,18 +446,13 @@ def search_top_hits_per_bucket(
 ) -> ray.data.Dataset:
     """The ES ``top_hits`` sub-aggregation: for each query and each value
     of ``facet_col``, the best ``hits_per_bucket`` docs by BM25 (6-dp
-    rounded, ties by doc_id). Full scored set streams from the actor pool,
+    rounded, ties by doc_id). Full scored set streams from the query tasks,
     a hash join attaches the bucket attribute, and ONE per-query group
     task does the vectorized per-bucket top-k — no corpus-sized state
     anywhere. Returns (query_id, <facet_col>, bucket_rank, doc_id,
     score)."""
-    qds = _queries_dataset(queries)
-    hits = qds.map_batches(
-        ScoredSetExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    hits = index_stage(
+        _query_rows(queries), ScoredSetExecutor, index_dir, concurrency=concurrency,
     )
     from distributed_text_search_ray.pipelines.joins import hash_join
 
@@ -617,85 +584,24 @@ def search_topk_rescored(
 ) -> ray.data.Dataset:
     """Top-k after phrase rescoring of the BM25 top-``window``; requires a
     positional (``store_positions=True``) index. See ``RescoreExecutor``."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        RescoreExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "topk": topk,
-            "window": window,
-            "query_weight": query_weight,
-            "rescore_weight": rescore_weight,
-        },
-        batch_format="pyarrow",
-        batch_size=4,  # rescore decodes positions — spread across the pool
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), RescoreExecutor, index_dir, batch_size=4,
+        concurrency=concurrency, topk=topk, window=window, query_weight=query_weight,
+        rescore_weight=rescore_weight,
     )
 
 
-class DictionaryExpander:
-    """Levenshtein-banded expansion over the sorted term dictionary.
-
-    Loads the dictionary once (terms grouped by token length for banding);
-    ``expand`` runs the vectorized bounded DP only over the length band.
-    """
-
-    def __init__(self, index_dir: str):
-        files = sorted(
-            os.path.join(index_dir, "dictionary", f)
-            for f in os.listdir(os.path.join(index_dir, "dictionary"))
-            if f.endswith(".parquet")
-        )
-        t = pa.concat_tables(
-            [pq.read_table(f, columns=["term", "df", "cf"]) for f in files]
-        ).combine_chunks()
-        # terms stay as an Arrow array (no per-term Python objects resident);
-        # only a query's length band materializes to strings
-        self._terms_arr = t.column("term").combine_chunks()
-        self.df = t.column("df").to_numpy()
-        self.cf = t.column("cf").to_numpy()
-        import pyarrow.compute as pc
-
-        self.lens = pc.utf8_length(self._terms_arr).to_numpy()
-
-    def term_at(self, i: int) -> str:
-        return self._terms_arr[int(i)].as_py()
-
-    @property
-    def terms(self):
-        return self._terms_arr
-
-    def expand(self, pattern: str, k: int, transpositions: bool = False) -> np.ndarray:
-        """Indices of dictionary terms within distance k of ``pattern``:
-        classic Levenshtein by default, OSA (adjacent transposition = one
-        edit — Lucene's ``fuzziness`` with transpositions) when
-        ``transpositions=True``. The length band is valid for both: every
-        edit, transposition included, changes length by at most 1."""
-        from distributed_text_search_ray.functions.lev import (
-            bounded_term_distances_osa,
-        )
-
-        m = len(pattern)
-        band = np.flatnonzero(np.abs(self.lens - m) <= k)
-        if band.size == 0:
-            return band
-        cand = self._terms_arr.take(pa.array(band)).to_pylist()
-        kernel = bounded_term_distances_osa if transpositions else bounded_term_distances
-        dists = kernel(pattern, cand, k)
-        return band[dists <= k]
-
-
 class FuzzyCountExecutor:
-    """Actor-pool stage: (query_id, pattern, k) -> term-level fuzzy stats.
+    """Query stage: (query_id, pattern, k) -> term-level fuzzy stats.
 
     Output per query: ``n_matching_terms`` (distinct dictionary terms within
     distance k), ``n_docs`` (distinct docs containing any matched term),
     ``n_occurrences`` (total token occurrences = sum of matched terms' cf).
     """
 
-    def __init__(self, index_dir: str):
-        self.view = IndexView(index_dir)
-        self.expander = DictionaryExpander(index_dir)
+    def __init__(self, index_dir: str | IndexView):
+        self.view = as_view(index_dir)
+        self.expander = self.view.dictionary()
         from distributed_text_search_ray.functions.tokenize import Tokenizer
 
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
@@ -710,7 +616,7 @@ class FuzzyCountExecutor:
             # cf is a build-time stat that would still count tombstoned docs.
             # distinct-doc count stays in numpy (concatenate + unique): a
             # pattern matching a Zipf-head term would make a Python set of
-            # ~N ints (hundreds of bytes per int) the actor's peak memory
+            # ~N ints (hundreds of bytes per int) the task's peak memory
             posts = [self.view.term_postings(self.expander.term_at(i)) for i in idxs]
             occ = int(sum(int(pl[1].sum()) for pl in posts))
             chunks = [pl[0] for pl in posts]
@@ -738,12 +644,8 @@ def fuzzy_term_search(
     items = [
         {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
     ]
-    return ray.data.from_items(items).map_batches(
-        FuzzyCountExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, FuzzyCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
     )
 
 
@@ -759,7 +661,7 @@ class FuzzyTopkExecutor(QueryExecutor):
         transpositions: bool = False,
     ):
         super().__init__(index_dir, topk=topk)
-        self.expander = DictionaryExpander(index_dir)
+        self.expander = self.view.dictionary()
         self.k_lev = k_lev
         self.transpositions = transpositions
 
@@ -788,15 +690,15 @@ class FuzzyTopkExecutor(QueryExecutor):
 
 
 class SuggestExecutor:
-    """Actor-pool stage: (query_id, pattern, k) -> "did you mean" row.
+    """Query stage: (query_id, pattern, k) -> "did you mean" row.
 
     Candidates = dictionary terms within Levenshtein distance k (banded
     scan, the fuzzy machinery); suggestion = the candidate with the highest
     document frequency (tie: term asc) — the standard df-ranked speller.
     Patterns with no candidate emit no row."""
 
-    def __init__(self, index_dir: str):
-        self.expander = DictionaryExpander(index_dir)
+    def __init__(self, index_dir: str | IndexView):
+        self.expander = as_view(index_dir).dictionary()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_q, out_p, out_s, out_df, out_d = [], [], [], [], []
@@ -843,16 +745,13 @@ class PhraseSuggestExecutor:
     frequent nearby term. Tokens with no candidate pass through unchanged.
     Output (query_id, phrase, suggestion, n_corrected)."""
 
-    def __init__(self, index_dir: str, k: int = 1):
-        from distributed_text_search_ray.stages.executor import (
-            config_from_meta,
-            load_meta,
-        )
+    def __init__(self, index_dir: str | IndexView, k: int = 1):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
 
-        self.expander = DictionaryExpander(index_dir)
+        view = as_view(index_dir)
+        self.expander = view.dictionary()
         self.k = int(k)
-        self.tokenizer = Tokenizer(config_from_meta(load_meta(index_dir)).analyzer)
+        self.tokenizer = Tokenizer(view.cfg.analyzer)
 
     def _best(self, token: str) -> str | None:
         exp = self.expander
@@ -912,12 +811,9 @@ def suggest_phrases(
     """Phrase-level spelling suggestions (per-token df-ranked correction
     within Levenshtein ``k``) — see ``PhraseSuggestExecutor``."""
     items = [{"query_id": int(q), "phrase": str(p)} for q, p in phrases]
-    return ray.data.from_items(items).map_batches(
-        PhraseSuggestExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "k": k},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, PhraseSuggestExecutor, index_dir, batch_size=64,
+        concurrency=concurrency, k=k,
     )
 
 
@@ -931,34 +827,29 @@ def suggest_terms(
     items = [
         {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
     ]
-    return ray.data.from_items(items).map_batches(
-        SuggestExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, SuggestExecutor, index_dir, batch_size=64, concurrency=concurrency,
     )
 
 
 class KeywordExecutor:
-    """Actor-pool stage: (doc_id, content) -> top-k tf*idf keyword rows.
+    """Query stage: (doc_id, content) -> top-k tf*idf keyword rows.
 
-    The global dictionary (term -> df) loads once per actor (vocabulary is
+    The global dictionary (term -> df) loads once per task (vocabulary is
     the broadcast small side — the standard design for corpus-wide keyword
     extraction; at extreme vocabularies shard the dictionary by term hash
     and route, as the query executors do). Scoring uses scalar ``math.log``
     per term so ranking ties break identically to the SQL oracle."""
 
-    def __init__(self, index_dir: str, k: int = 3):
+    def __init__(self, index_dir: str | IndexView, k: int = 3):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import config_from_meta, load_meta
 
-        exp = DictionaryExpander(index_dir)
+        view = as_view(index_dir)
+        exp = view.dictionary()
         self.df = dict(zip(exp.terms.to_pylist(), exp.df.tolist()))
-        meta = load_meta(index_dir)
-        self.N = int(meta["N"])
+        self.N = view.N
         self.k = k
-        self.tokenizer = Tokenizer(config_from_meta(meta).analyzer)
+        self.tokenizer = Tokenizer(view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import math
@@ -1000,16 +891,14 @@ def extract_keywords(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k tf*idf keywords per document: (doc_id, rank, term, score)."""
-    return docs.map_batches(
-        KeywordExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "k": k},
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
+    # batch_size=None: whole blocks, Ray Data's own map_batches default
+    return index_stage(
+        docs, KeywordExecutor, index_dir, batch_size=None, concurrency=concurrency, k=k,
     )
 
 
 class MoreLikeThisExecutor(QueryExecutor):
-    """Actor-pool stage: (src_doc_id, content) rows -> top-k similar docs.
+    """Query stage: (src_doc_id, content) rows -> top-k similar docs.
 
     Characteristic terms of the source doc = top ``top_terms`` by
     tf * idf(global df) — scalar ``math.log`` per term so selection ties
@@ -1080,12 +969,9 @@ def more_like_this(
         )
 
     src = docs.map_batches(pick_sources, batch_format="pyarrow")
-    return src.map_batches(
-        MoreLikeThisExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "top_terms": top_terms, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        src, MoreLikeThisExecutor, index_dir, concurrency=concurrency,
+        top_terms=top_terms, topk=topk,
     )
 
 
@@ -1219,16 +1105,15 @@ def load_attribute_ids(index_dir: str, attr: str, value: str) -> np.ndarray:
 
 
 class FilteredQueryExecutor(QueryExecutor):
-    """Actor-pool stage: top-k BM25 restricted to docs whose sidecar
-    attribute matches. Allowed-id arrays load once per (attr, value) per
-    actor (LRU by insertion; the vocabulary of filter values is small)."""
+    """Query stage: top-k BM25 restricted to docs whose sidecar
+    attribute matches. The allowed-id array loads once per task."""
 
     def __init__(self, index_dir: str, attr: str, value: str, topk: int = 10, mode: str = "maxscore"):
         if mode == "wand":
             raise ValueError("filtered search supports taat/maxscore modes")
         super().__init__(index_dir, topk=topk, mode=mode)
         self._base_view = self.view
-        allowed = load_attribute_ids(index_dir, attr, value)
+        allowed = load_attribute_ids(self.view.index_dir, attr, value)
         self.view = _FilteredView(self._base_view, allowed)
 
 
@@ -1244,19 +1129,9 @@ def search_topk_filtered(
     """Top-k BM25 over only the docs whose ``attr`` equals ``value``
     (e.g. lang="py"). Scores equal the unfiltered scores of the same docs;
     ranking is the unfiltered ranking restricted to the allowed set."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        FilteredQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "attr": attr,
-            "value": value,
-            "topk": topk,
-            "mode": mode,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), FilteredQueryExecutor, index_dir,
+        concurrency=concurrency, attr=attr, value=value, topk=topk, mode=mode,
     )
 
 
@@ -1292,19 +1167,14 @@ def fuzzy_search_topk(
     items = [
         {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
     ]
-    return ray.data.from_items(items).map_batches(
-        FuzzyTopkExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir, "topk": topk, "transpositions": transpositions,
-        },
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, FuzzyTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        topk=topk, transpositions=transpositions,
     )
 
 
 class PrefixCountExecutor:
-    """Actor-pool stage: (query_id, prefix) -> wildcard ``prefix*`` term
+    """Query stage: (query_id, prefix) -> wildcard ``prefix*`` term
     stats — the classic fulltext prefix/wildcard query, answered purely from
     the dictionary + postings (no content scan).
 
@@ -1313,16 +1183,17 @@ class PrefixCountExecutor:
     ``n_occurrences`` (sum of matched terms' collection frequency).
 
     Expansion is one vectorized ``pc.starts_with`` over the dictionary's
-    Arrow string array (loaded once per actor). The per-partition
-    dictionaries concatenate unsorted, so a searchsorted range scan would
-    need a one-time global sort; at any vocabulary that fits an actor the
+    Arrow string array (loaded once per worker and index generation). The
+    per-partition dictionaries concatenate unsorted, so a searchsorted range
+    scan would need a one-time global sort; at any vocabulary that fits a
+    worker the
     zero-copy vectorized scan is simpler and just as bounded — both are
     O(V) resident either way.
     """
 
-    def __init__(self, index_dir: str):
-        self.view = IndexView(index_dir)
-        self.expander = DictionaryExpander(index_dir)
+    def __init__(self, index_dir: str | IndexView):
+        self.view = as_view(index_dir)
+        self.expander = self.view.dictionary()
         from distributed_text_search_ray.functions.tokenize import Tokenizer
 
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
@@ -1368,12 +1239,8 @@ def prefix_term_search(
 ) -> ray.data.Dataset:
     """Wildcard ``prefix*`` term stats for (query_id, prefix) pairs."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
-    return ray.data.from_items(items).map_batches(
-        PrefixCountExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, PrefixCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
     )
 
 
@@ -1402,7 +1269,7 @@ def wildcard_to_like(pattern: str) -> str:
 class WildcardCountExecutor(PrefixCountExecutor):
     """General ``*``/``?`` wildcard term stats (mid-pattern wildcards, not
     just prefixes): expansion is one vectorized ``pc.match_like`` over the
-    per-actor dictionary; everything downstream (live-postings stats,
+    cached dictionary; everything downstream (live-postings stats,
     tombstone filtering) is shared with the prefix executor."""
 
     def _normalize(self, raw: str) -> str:
@@ -1422,12 +1289,9 @@ def wildcard_term_search(
 ) -> ray.data.Dataset:
     """General wildcard (``*``/``?``) term stats for (query_id, pattern)."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
-    return ray.data.from_items(items).map_batches(
-        WildcardCountExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, WildcardCountExecutor, index_dir, batch_size=64,
+        concurrency=concurrency,
     )
 
 
@@ -1439,12 +1303,9 @@ def wildcard_topk_search(
 ) -> ray.data.Dataset:
     """Ranked retrieval over the wildcard-expanded term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
-    return ray.data.from_items(items).map_batches(
-        WildcardTopkExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, WildcardTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        topk=topk,
     )
 
 
@@ -1456,7 +1317,7 @@ class PrefixTopkExecutor(QueryExecutor):
 
     def __init__(self, index_dir: str, topk: int = 10):
         super().__init__(index_dir, topk=topk)
-        self.expander = DictionaryExpander(index_dir)
+        self.expander = self.view.dictionary()
 
     def _normalize(self, raw: str) -> str:
         toks = self.tokenizer.tokens(raw)
@@ -1555,12 +1416,8 @@ def regexp_term_search(
 ) -> ray.data.Dataset:
     """Whole-term regexp term stats for (query_id, pattern) pairs."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
-    return ray.data.from_items(items).map_batches(
-        RegexpCountExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, RegexpCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
     )
 
 
@@ -1572,12 +1429,8 @@ def regexp_topk_search(
 ) -> ray.data.Dataset:
     """Ranked retrieval over the regexp-expanded term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
-    return ray.data.from_items(items).map_batches(
-        RegexpTopkExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, RegexpTopkExecutor, index_dir, concurrency=concurrency, topk=topk,
     )
 
 
@@ -1589,20 +1442,16 @@ def prefix_search_topk(
 ) -> ray.data.Dataset:
     """Ranked wildcard retrieval: top-k BM25 over each prefix's term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
-    return ray.data.from_items(items).map_batches(
-        PrefixTopkExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, PrefixTopkExecutor, index_dir, concurrency=concurrency, topk=topk,
     )
 
 
 class SynonymTopkExecutor(QueryExecutor):
     """BM25 over the query's terms UNION their configured synonyms — the
-    classic query-time synonym expansion. The synonym map is part of the
-    actor constructor args (Ray ships it to the object store once; every
-    actor in the pool reads the same copy — broadcast, never per-batch).
+    classic query-time synonym expansion. The synonym map ships with the
+    stage (Ray serializes it once per call; every task reads the same copy
+    — broadcast, never per-batch).
     Expansion happens at QUERY time only, so the index needs no rebuild
     when the map changes (the index-time alternative would bake synonyms
     into postings). Unknown synonym terms contribute nothing, exactly like
@@ -1643,25 +1492,17 @@ def search_topk_synonyms(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 with query-time synonym expansion."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        SynonymTopkExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "synonyms": synonyms,
-            "topk": topk,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), SynonymTopkExecutor, index_dir, concurrency=concurrency,
+        synonyms=synonyms, topk=topk,
     )
 
 
 class BooleanFilteredQueryExecutor(QueryExecutor):
-    """Actor-pool stage: top-k BM25 restricted to docs matching a BOOLEAN
+    """Query stage: top-k BM25 restricted to docs matching a BOOLEAN
     filter query — Lucene's filter-query semantics (the filter gates, the
     ranked query scores; filter terms contribute nothing to the score).
-    The filter evaluates ONCE per actor in ``__init__`` (posting-list set
+    The filter evaluates ONCE per task in ``__init__`` (posting-list set
     algebra, rarest-first) and becomes a ``_FilteredView`` allowed set, so
     per-batch work is identical to attribute-filtered search."""
 
@@ -1695,18 +1536,9 @@ def search_topk_boolean_filtered(
 ) -> ray.data.Dataset:
     """Top-k BM25 over only the docs matching ``filter_query`` (AND/OR/
     AND-NOT grammar). Scores equal the unfiltered scores of the same docs."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        BooleanFilteredQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "filter_query": filter_query,
-            "topk": topk,
-            "mode": mode,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), BooleanFilteredQueryExecutor, index_dir,
+        concurrency=concurrency, filter_query=filter_query, topk=topk, mode=mode,
     )
 
 
@@ -1963,7 +1795,7 @@ class RangeFilteredQueryExecutor(QueryExecutor):
         super().__init__(index_dir, topk=topk, mode=mode)
         self._base_view = self.view
         self.view = _FilteredView(
-            self._base_view, load_attribute_ids_range(index_dir, attr, lo, hi)
+            self._base_view, load_attribute_ids_range(self.view.index_dir, attr, lo, hi)
         )
 
 
@@ -1979,20 +1811,9 @@ def search_topk_filtered_range(
 ) -> ray.data.Dataset:
     """Top-k BM25 over only docs with ``lo <= attr <= hi`` (numeric range
     filter, e.g. document length bands). Scores equal unfiltered scores."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        RangeFilteredQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "attr": attr,
-            "lo": lo,
-            "hi": hi,
-            "topk": topk,
-            "mode": mode,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), RangeFilteredQueryExecutor, index_dir,
+        concurrency=concurrency, attr=attr, lo=lo, hi=hi, topk=topk, mode=mode,
     )
 
 
@@ -2095,26 +1916,19 @@ def search_topk_after(
     ``rank=r`` here equals global rank ``cursor_rank + r`` of the full
     ordering, which is what the SQL twin checks.
     """
-    if isinstance(cursors, ray.data.Dataset):
-        qds = cursors
-    else:
-        rows = [(int(q), str(t), float(s), int(d)) for q, t, s, d in cursors]
-        qds = ray.data.from_arrow(
-            pa.table(
-                {
-                    "query_id": pa.array([r[0] for r in rows], type=pa.int64()),
-                    "query": pa.array([r[1] for r in rows], type=pa.string()),
-                    "after_score": pa.array([r[2] for r in rows], type=pa.float64()),
-                    "after_doc_id": pa.array([r[3] for r in rows], type=pa.int64()),
-                }
-            )
-        )
-    return qds.map_batches(
-        SearchAfterExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    if not isinstance(cursors, ray.data.Dataset):
+        cursors = [
+            {
+                "query_id": int(q),
+                "query": str(t),
+                "after_score": float(s),
+                "after_doc_id": int(d),
+            }
+            for q, t, s, d in cursors
+        ]
+    return index_stage(
+        cursors, SearchAfterExecutor, index_dir, concurrency=concurrency, topk=topk,
+        mode=mode,
     )
 
 
@@ -2126,7 +1940,7 @@ class CollapseTopkExecutor(SearchAfterExecutor):
     Semantics: walk the deterministic total order (round(score,6) DESC,
     doc_id ASC) and keep a row iff its collapse-attribute value has not
     appeared yet, until ``topk`` rows are kept. The doc_id -> value map
-    loads once per actor from the build-time attribute sidecar (same source
+    loads once per task from the build-time attribute sidecar (same source
     as ``FilteredQueryExecutor``); docs absent from the sidecar each form
     their own singleton group (they are kept, never collapsed together).
 
@@ -2144,7 +1958,7 @@ class CollapseTopkExecutor(SearchAfterExecutor):
 
         import pyarrow.compute as pc
 
-        attr_dir = os.path.join(index_dir, "attributes")
+        attr_dir = os.path.join(self.view.index_dir, "attributes")
         files = sorted(_glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
         if not files:
             raise FileNotFoundError(
@@ -2240,13 +2054,9 @@ def search_topk_collapsed(
     """Top-k BM25 with at most one result per ``attr`` value per query
     (field collapsing). Output (query_id, rank, doc_id, score) with rank
     1..topk over the COLLAPSED list and 6-dp-rounded scores."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        CollapseTopkExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "attr": attr, "topk": topk, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), CollapseTopkExecutor, index_dir, concurrency=concurrency,
+        attr=attr, topk=topk, mode=mode,
     )
 
 
@@ -2368,17 +2178,9 @@ def search_topk_fielded(
     """Field-weighted BM25 top-k over per-field indexes (e.g. a boosted
     title index beside the content index). Output (query_id, rank, doc_id,
     score) with 6-dp-rounded scores, ties by doc_id."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        FieldedQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dirs": index_dirs,
-            "weights": weights,
-            "topk": topk,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), FieldedQueryExecutor, index_dirs,
+        concurrency=concurrency, weights=weights, topk=topk,
     )
 
 
@@ -2504,19 +2306,9 @@ def search_topk_bm25f_true(
 ) -> ray.data.Dataset:
     """True (saturation-folded) BM25F top-k over per-field indexes — see
     ``BM25FTrueExecutor``. Output (query_id, rank, doc_id, score)."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        BM25FTrueExecutor,
-        fn_constructor_kwargs={
-            "index_dirs": index_dirs,
-            "weights": weights,
-            "topk": topk,
-            "k1": k1,
-            "b": b,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), BM25FTrueExecutor, index_dirs, concurrency=concurrency,
+        weights=weights, topk=topk, k1=k1, b=b,
     )
 
 
@@ -2533,19 +2325,10 @@ def search_topk_dismax(
     best-field-wins ranking mode next to ``search_topk_fielded``'s linear
     sum. Output (query_id, rank, doc_id, score), 6-dp scores, ties by
     doc_id."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        FieldedQueryExecutor,
-        fn_constructor_kwargs={
-            "index_dirs": index_dirs,
-            "weights": weights,
-            "topk": topk,
-            "combine": "dismax",
-            "tie_breaker": tie_breaker,
-        },
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), FieldedQueryExecutor, index_dirs,
+        concurrency=concurrency, weights=weights, topk=topk, combine="dismax",
+        tie_breaker=tie_breaker,
     )
 
 
@@ -2578,7 +2361,7 @@ def rank_eval(
 
     Scale note (VERDICT r4 item 6): the relevant SET of a short query is
     O(corpus), so it must never leave the task that computes it. The
-    judgment stage below intersects postings inside the actor and emits
+    judgment stage below intersects postings inside the task and emits
     ONLY the per-query count and the relevant-flags of the (broadcast)
     top-k hit docs — replacing the old corpus-scale (query_id, doc_id)
     relevance stream + fused reduce, which at 1.15M docs shipped ~1M rows
@@ -2598,17 +2381,10 @@ def rank_eval(
     )) for qid, _ in qlist}
 
     items = [{"query_id": qid, "query": q} for qid, q in conj]
-    res = (
-        ray.data.from_items(items)
-        .map_batches(
-            _RelevanceStatsExecutor,
-            fn_constructor_kwargs={"index_dir": index_dir, "hit_docs": hit_docs},
-            batch_format="pyarrow",
-            batch_size=1,  # one query = one task: postings work dwarfs overhead
-            concurrency=resolve_concurrency(concurrency),
-        )
-        .take_all()
-    )  # bounded: one count row + <=k flag rows per query
+    res = index_stage(
+        items, _RelevanceStatsExecutor, index_dir, batch_size=1,
+        concurrency=concurrency, hit_docs=hit_docs,
+    ).take_all()  # bounded: one count row + <=k flag rows per query
     n_rel: dict[int, int] = {}
     rel_hits: set[tuple[int, int]] = set()
     for r in res:
@@ -2659,7 +2435,7 @@ class ExplainExecutor(QueryExecutor):
     Reuses the loaded ``IndexView`` and the TAAT scorer for the ranking
     itself (overfetch + rounded re-rank, the same (round(score,6) desc,
     doc_id asc) order as every other gated ranking), then re-reads the
-    (actor-cached) postings of each term to slice out the contributions of
+    (view-cached) postings of each term to slice out the contributions of
     the surviving docs — per query that is O(terms x postings) work against
     warm cache, no second index scan.
     """
@@ -2733,13 +2509,9 @@ def explain_topk(
     BM25 addend (rounded 6 dp), score the doc's rounded total. The ranked
     doc set and order are identical to ``search_topk`` + rounded re-rank.
     """
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        ExplainExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), ExplainExecutor, index_dir, concurrency=concurrency,
+        topk=topk,
     )
 
 
@@ -2786,7 +2558,7 @@ def parse_negated_query(qtext: str) -> tuple[str, str]:
 
 
 class NegatedQueryExecutor(QueryExecutor):
-    """Actor-pool stage: top-k BM25 with ``must_not`` term exclusion.
+    """Query stage: top-k BM25 with ``must_not`` term exclusion.
 
     Per query, the excluded doc set is assembled from the INDEX (the union
     of the negated terms' posting doc-ids — no corpus scan), then the
@@ -2844,18 +2616,14 @@ def search_topk_negated(
     containing them (ES bool must + must_not). Surviving docs keep their
     exact unrestricted BM25 scores. Negating a term absent from the corpus
     is a no-op; a query that is only negations returns no rows."""
-    qds = _queries_dataset(queries)
-    return qds.map_batches(
-        NegatedQueryExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        _query_rows(queries), NegatedQueryExecutor, index_dir, concurrency=concurrency,
+        topk=topk, mode=mode,
     )
 
 
 class RoutedQueryExecutor:
-    """Actor-pool stage for ROUTED search: each query carries a routing key
+    """Query stage for ROUTED search: each query carries a routing key
     that selects exactly ONE member index (the per-tenant / per-shard-group
     layout). Unlike :func:`search_topk_filtered` (global index, global
     stats, candidate mask), a routed query is answered entirely inside its
@@ -2864,10 +2632,11 @@ class RoutedQueryExecutor:
     pruning contract that matters at 10^12 files: a query for one tenant
     costs one tenant's index, not a masked scan of the world.
 
-    Member executors open lazily per actor and live for the actor's
-    lifetime (segment readers + postings LRU per member). Queries with a
-    routing key that has no member produce no rows (documented; raising
-    would poison a whole batch of otherwise-valid queries)."""
+    A member's executor builds on the first query routed to it, around the
+    worker's cached view of that member (``open_view``): a batch opens only
+    the members it routes to. Queries with a routing key that has no member
+    produce no rows (documented; raising would poison a whole batch of
+    otherwise-valid queries)."""
 
     def __init__(self, members: dict[str, str], topk: int = 10, mode: str = "maxscore"):
         self.members = dict(members)
@@ -2878,7 +2647,8 @@ class RoutedQueryExecutor:
     def _exec_for(self, route: str) -> QueryExecutor:
         ex = self._execs.get(route)
         if ex is None:
-            ex = QueryExecutor(self.members[route], topk=self.topk, mode=self.mode)
+            view = open_view(self.members[route])
+            ex = QueryExecutor(view, topk=self.topk, mode=self.mode)
             self._execs[route] = ex
         return ex
 
@@ -2916,29 +2686,23 @@ def search_topk_routed(
     using that member's own corpus statistics. The scale sibling of
     :func:`search_topk_federated` — federation fans one query out to every
     member and recombines global stats; routing prunes to one member and
-    keeps its local stats (per-tenant semantics). An actor may end up
-    holding one executor per member it has seen; when members outnumber
-    what one worker should hold, split the query stream by route and run
-    one ``search_topk`` per member instead — same results, pool-per-member
-    layout."""
+    keeps its local stats (per-tenant semantics). A task opens only the
+    members its queries route to; a worker keeps ``executor.MAX_GENERATIONS``
+    member views cached across tasks, so a query stream that cycles through
+    more members than that reopens them (sort or split it by route to
+    avoid the churn)."""
     if not isinstance(queries, ray.data.Dataset):
-        queries = ray.data.from_items(
-            [
-                {"query_id": int(q), "query": str(t), "route": str(r)}
-                for q, t, r in queries
-            ]
-        )
-    return queries.map_batches(
-        RoutedQueryExecutor,
-        fn_constructor_kwargs={"members": members, "topk": topk, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+        queries = [
+            {"query_id": int(q), "query": str(t), "route": str(r)} for q, t, r in queries
+        ]
+    return index_stage(
+        queries, RoutedQueryExecutor, None, concurrency=concurrency, members=members,
+        topk=topk, mode=mode,
     )
 
 
 class WeightedTermExecutor(QueryExecutor):
-    """Actor-pool stage scoring PRE-EXPANDED weighted queries (the RM3
+    """Query stage scoring PRE-EXPANDED weighted queries (the RM3
     second pass): batches of (query_id, terms: list<string>, weights:
     list<double>) -> top-k rows with
 
@@ -3025,7 +2789,7 @@ def rm3_topk(
     state, like the MMR window. Fetching feedback texts is one vectorized
     ``is_in`` filter pass over ``docs_ds`` (columns doc_id, content) — no
     shuffle; the only corpus-sized work is the two scoring passes, both
-    actor-pool streaming. Returns UNROUNDED (query_id, rank, doc_id,
+    task-stage streaming. Returns UNROUNDED (query_id, rank, doc_id,
     score); callers re-rank rounded like every other scorer here.
     """
     import pyarrow.compute as pc
@@ -3108,12 +2872,8 @@ def rm3_topk(
                 }
             )
         )
-    return ray.data.from_items(expanded).map_batches(
-        WeightedTermExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir, "topk": topk},
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        expanded, WeightedTermExecutor, index_dir, concurrency=concurrency, topk=topk,
     )
 
 
@@ -3205,17 +2965,17 @@ def term_vectors(
 
 
 class _AdjacencyMatrixExecutor:
-    """Actor-pool stage for the ES adjacency_matrix aggregation over term
+    """Query stage for the ES adjacency_matrix aggregation over term
     filters: one input row carries the whole named-filter set; the output
     is (key_a, key_b, doc_count) for every ordered pair key_a <= key_b with
     a non-empty posting intersection (the diagonal is each filter's own doc
     count). Intersections run over the sorted posting lists — linear in the
     smaller list, index-resident, no corpus scan."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str | IndexView):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -3269,12 +3029,9 @@ def adjacency_matrix(
     items = [
         {"keys": sorted(filters), "terms": [filters[k] for k in sorted(filters)]}
     ]
-    return ray.data.from_items(items).map_batches(
-        _AdjacencyMatrixExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    return index_stage(
+        items, _AdjacencyMatrixExecutor, index_dir, batch_size=1,
+        concurrency=concurrency,
     )
 
 

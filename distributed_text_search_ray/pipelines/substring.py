@@ -30,7 +30,8 @@ import pyarrow as pa
 import ray.data
 
 from distributed_text_search_ray.config import AnalyzerConfig, IndexConfig
-from distributed_text_search_ray.util import resolve_concurrency
+from distributed_text_search_ray.stages.executor import IndexView, as_view
+from distributed_text_search_ray.stages.index_stage import index_stage
 
 OUT_SCHEMA = pa.schema(
     [
@@ -57,11 +58,11 @@ def trigram_index_config(
     )
 
 
-def _needle_rows(needles: Iterable[tuple[int, str]]) -> ray.data.Dataset:
+def _needle_rows(needles: Iterable[tuple[int, str]]) -> list[dict]:
     items = [{"needle_id": int(q), "needle": str(s)} for q, s in needles]
     if not items:
         raise ValueError("no needles given")
-    return ray.data.from_items(items)
+    return items
 
 
 def _empty_out() -> pa.Table:
@@ -69,19 +70,18 @@ def _empty_out() -> pa.Table:
 
 
 class _SubstringExecutor:
-    """Actor-pool stage: (needle_id, needle) rows -> exact per-doc
+    """Query stage: (needle_id, needle) rows -> exact per-doc
     overlapping-occurrence counts from the positional trigram index."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str | IndexView):
         from distributed_text_search_ray.functions.tokenize import Tokenizer
-        from distributed_text_search_ray.stages.executor import IndexView
 
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         n = int(getattr(self.view.cfg.analyzer, "char_ngrams", 0) or 0)
         if n == 0:
             raise ValueError(
-                f"index at {index_dir} is term-based — substring search needs "
-                "a char-ngram index (build with trigram_index_config())"
+                f"index at {self.view.index_dir} is term-based — substring search "
+                "needs a char-ngram index (build with trigram_index_config())"
             )
         self.n = n
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
@@ -123,14 +123,11 @@ def substring_search(
     contains the needle, case-insensitive, overlapping starts counted —
     answered purely from a positional char-trigram index. Result-identical
     to ``substring_match_counts`` for needles >= the index n-gram width."""
-    return _needle_rows(needles).map_batches(
-        _SubstringExecutor,
-        fn_constructor_kwargs={"index_dir": index_dir},
-        batch_format="pyarrow",
-        # one needle per task: a common trigram decodes corpus-scale
-        # positions, so a small needle batch must fan out across the pool
-        batch_size=1,
-        concurrency=resolve_concurrency(concurrency),
+    # one needle per batch: a common trigram decodes corpus-scale positions,
+    # so a small needle batch must fan out over one task per CPU
+    return index_stage(
+        _needle_rows(needles), _SubstringExecutor, index_dir, batch_size=1,
+        concurrency=concurrency,
     )
 
 

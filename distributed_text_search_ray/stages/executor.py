@@ -1,11 +1,14 @@
-"""Stateful query executors (actor pool).
+"""Query executors: plain callables over a read-only index view.
 
 The reference's per-process state is the GPU context + device caps initialised
 once (``src/flexible_mpi.cu:66-75``, called at ``src/flexible_mpi.c:456-464``);
-ours is the loaded index: ``QueryExecutor`` is a callable class passed to
-``map_batches(QueryExecutor, concurrency=N)`` — index metadata loaded and
-segment readers cached once per actor in ``__init__``/first use, query batches
-answered in ``__call__``.
+ours is the opened index. Query stages run as Ray tasks
+(``stages.index_stage``): a task builds its executor around the worker
+process's cached ``IndexView`` of the current index generation
+(``open_view``, keyed by ``state.generations``), so metadata, segment
+readers, decoded postings and the term dictionary are opened once per worker
+and generation, not once per call. Constructed directly with a path, an
+executor opens a fresh view of its own.
 
 Scoring is exact top-k BM25 over the OR of the query's distinct terms:
 
@@ -32,12 +35,26 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from distributed_text_search_ray.config import AnalyzerConfig, IndexConfig
 from distributed_text_search_ray.functions import bm25
 from distributed_text_search_ray.functions.hashing import stable_u64, term_partition
+from distributed_text_search_ray.functions.lev import (
+    bounded_term_distances,
+    bounded_term_distances_osa,
+)
 from distributed_text_search_ray.functions.tokenize import Tokenizer
+from distributed_text_search_ray.state.alias import resolve_index
+from distributed_text_search_ray.state.generations import generation_key
 from distributed_text_search_ray.state.segment import SegmentReader
+
+# A process keeps up to MAX_GENERATIONS cached views (their segment readers
+# and dictionaries), and all of them together at most MAX_CACHED_POSTINGS
+# decoded postings (~770 MB of int64 doc/tf/dl arrays).
+MAX_GENERATIONS = 4
+MAX_CACHED_POSTINGS = 32_000_000
 
 TOPK_SCHEMA = pa.schema(
     [
@@ -60,15 +77,89 @@ def config_from_meta(meta: dict) -> IndexConfig:
     return IndexConfig(**c)
 
 
+class DictionaryExpander:
+    """Levenshtein-banded expansion over the sorted term dictionary.
+
+    Loads the dictionary once (terms grouped by token length for banding);
+    ``expand`` runs the vectorized bounded DP only over the length band.
+    """
+
+    def __init__(self, index_dir: str):
+        files = sorted(
+            os.path.join(index_dir, "dictionary", f)
+            for f in os.listdir(os.path.join(index_dir, "dictionary"))
+            if f.endswith(".parquet")
+        )
+        t = pa.concat_tables(
+            [pq.read_table(f, columns=["term", "df", "cf"]) for f in files]
+        ).combine_chunks()
+        # terms stay as an Arrow array (no per-term Python objects resident);
+        # only a query's length band materializes to strings
+        self._terms_arr = t.column("term").combine_chunks()
+        self.df = t.column("df").to_numpy()
+        self.cf = t.column("cf").to_numpy()
+        self.lens = pc.utf8_length(self._terms_arr).to_numpy()
+
+    def term_at(self, i: int) -> str:
+        return self._terms_arr[int(i)].as_py()
+
+    @property
+    def terms(self):
+        return self._terms_arr
+
+    def expand(self, pattern: str, k: int, transpositions: bool = False) -> np.ndarray:
+        """Indices of dictionary terms within distance k of ``pattern``:
+        classic Levenshtein by default, OSA (adjacent transposition = one
+        edit — Lucene's ``fuzziness`` with transpositions) when
+        ``transpositions=True``. The length band is valid for both: every
+        edit, transposition included, changes length by at most 1."""
+        m = len(pattern)
+        band = np.flatnonzero(np.abs(self.lens - m) <= k)
+        if band.size == 0:
+            return band
+        cand = self._terms_arr.take(pa.array(band)).to_pylist()
+        kernel = bounded_term_distances_osa if transpositions else bounded_term_distances
+        dists = kernel(pattern, cand, k)
+        return band[dists <= k]
+
+
+class PostingsLRU:
+    """Decoded postings by ``(view token, term)`` (hot query terms recur),
+    bounded by the total number of postings held, not entry count — one
+    Zipf-head term can be huge."""
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self.size = 0
+
+    def get(self, key: tuple):
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+        return hit
+
+    def put(self, key: tuple, postings: tuple) -> None:
+        self._entries[key] = postings
+        self.size += len(postings[0])
+        while self.size > MAX_CACHED_POSTINGS and len(self._entries) > 1:
+            _, old = self._entries.popitem(last=False)
+            self.size -= len(old[0])
+
+    def drop(self, token: object) -> None:
+        """Forget every entry of one view."""
+        for key in [k for k in self._entries if k[0] is token]:
+            self.size -= len(self._entries.pop(key)[0])
+
+
 class IndexView:
     """Shared read-side logic: partition routing + posting fetch with an LRU
-    cache of segment readers. Used by the executor actors and the fuzzy path."""
+    cache of segment readers, and the term dictionary on first use. One view
+    is one index generation: aliases resolve and metadata/tombstones load
+    here, once."""
 
-    def __init__(self, index_dir: str, max_cached_parts: int = 64):
-        from distributed_text_search_ray.state.alias import resolve_index
-
-        # aliases resolve at view construction (actor __init__) — a running
-        # actor keeps serving its generation until the pool recycles
+    def __init__(
+        self, index_dir: str, max_cached_parts: int = 64, postings: PostingsLRU | None = None
+    ):
         index_dir = resolve_index(index_dir)
         self.index_dir = index_dir
         self.meta = load_meta(index_dir)
@@ -94,20 +185,31 @@ class IndexView:
         # stale-stats contract, recorded here so scores stay reproducible
         dp = os.path.join(index_dir, "deleted.parquet")
         if os.path.exists(dp):
-            import pyarrow.parquet as _pq
-
             self.deleted = np.sort(
-                np.unique(_pq.read_table(dp, columns=["doc_id"]).column("doc_id").to_numpy())
+                np.unique(pq.read_table(dp, columns=["doc_id"]).column("doc_id").to_numpy())
             )
         else:
             self.deleted = np.empty(0, dtype=np.int64)
         self._readers: OrderedDict[int, SegmentReader] = OrderedDict()
         self._max_cached = max_cached_parts
-        # decoded-postings LRU (hot query terms recur): bounded by total
-        # cached postings, not entry count — one Zipf-head term can be huge
-        self._postings_cache: OrderedDict[str, tuple] = OrderedDict()
-        self._cached_postings = 0
-        self._max_cached_postings = 32_000_000
+        # a view of its own, or the process's one LRU shared by all cached
+        # views (open_view); the token keys this view's entries in it
+        self._postings = PostingsLRU() if postings is None else postings
+        self._token = object()
+        self._dictionary = None
+
+    def dictionary(self) -> DictionaryExpander:
+        """The generation's term dictionary, loaded on first use."""
+        if self._dictionary is None:
+            self._dictionary = DictionaryExpander(self.index_dir)
+        return self._dictionary
+
+    def close(self) -> None:
+        """Drop the segment readers, decoded postings and dictionary. The
+        view stays usable: it reopens what it needs on demand."""
+        self._readers.clear()
+        self._postings.drop(self._token)
+        self._dictionary = None
 
     def reader(self, part: int) -> SegmentReader:
         r = self._readers.get(part)
@@ -127,9 +229,8 @@ class IndexView:
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """(doc_ids, tfs, dls, global_df); empty arrays if term unknown."""
-        hit = self._postings_cache.get(term)
+        hit = self._postings.get((self._token, term))
         if hit is not None:
-            self._postings_cache.move_to_end(term)
             return hit
         chunks = []
         for p in self.term_parts(term):
@@ -156,11 +257,7 @@ class IndexView:
             live = self.deleted[pos_c] != docs
             docs, tfs, dls = docs[live], tfs[live], dls[live]
         out = (docs, tfs, dls, df)
-        self._postings_cache[term] = out
-        self._cached_postings += len(docs)
-        while self._cached_postings > self._max_cached_postings and len(self._postings_cache) > 1:
-            _, old = self._postings_cache.popitem(last=False)
-            self._cached_postings -= len(old[0])
+        self._postings.put((self._token, term), out)
         return out
 
     def term_positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,6 +328,38 @@ class IndexView:
         return sum(r.bytes_decoded for r in self._readers.values())
 
 
+# process-wide on purpose: a Ray task cannot hand state to the next task the
+# worker runs, so what outlives a task lives at module level
+_VIEWS: OrderedDict[tuple, IndexView] = OrderedDict()
+_POSTINGS = PostingsLRU()
+
+
+def open_view(index_path: str) -> IndexView:
+    """This process's shared view of the generation ``index_path`` (a dir or
+    an alias) names now — opened on the first call, reused by later tasks
+    until the index changes or the view is evicted (LRU, MAX_GENERATIONS).
+    An evicted view is closed, so it releases what it holds even while a
+    running task still uses it."""
+    key, target = generation_key(index_path)
+    view = _VIEWS.get(key)
+    if view is not None:
+        _VIEWS.move_to_end(key)
+        return view
+    # a directory's older generations cannot come back: drop them at once
+    for old in [k for k in _VIEWS if k[0] == key[0]]:
+        _VIEWS.pop(old).close()
+    view = _VIEWS[key] = IndexView(target, postings=_POSTINGS)
+    while len(_VIEWS) > MAX_GENERATIONS:
+        _VIEWS.popitem(last=False)[1].close()
+    return view
+
+
+def as_view(index) -> IndexView:
+    """``index`` itself when it is an open view, else a fresh view of the
+    path."""
+    return index if isinstance(index, IndexView) else IndexView(index)
+
+
 def _topk_rows(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k: score desc, doc_id asc."""
     if len(doc_ids) == 0:
@@ -246,16 +375,17 @@ def _topk_rows(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndar
 
 
 class QueryExecutor:
-    """Actor-pool stage: batches of ``(query_id, query)`` -> top-k rows."""
+    """Query stage: batches of ``(query_id, query)`` -> top-k rows.
+    ``index_dir`` is a path or an open ``IndexView``."""
 
     def __init__(
         self,
-        index_dir: str,
+        index_dir: str | IndexView,
         topk: int = 10,
         mode: str = "taat",
         min_should_match: int = 1,
     ):
-        self.view = IndexView(index_dir)
+        self.view = as_view(index_dir)
         self.topk = topk
         self.mode = mode
         self.min_should_match = int(min_should_match)
@@ -618,10 +748,13 @@ class FederatedIndexView:
     per-index block metadata rebased to global stats and is not offered.
     """
 
-    def __init__(self, index_dirs: list[str], max_cached_parts: int = 64):
+    def __init__(self, index_dirs: list, max_cached_parts: int = 64):
         if not index_dirs:
             raise ValueError("federated view needs at least one index")
-        self.views = [IndexView(d, max_cached_parts) for d in index_dirs]
+        self.views = [
+            d if isinstance(d, IndexView) else IndexView(d, max_cached_parts)
+            for d in index_dirs
+        ]
         fps = {v.cfg.analyzer.fingerprint() for v in self.views}
         if len(fps) > 1:
             raise ValueError(
@@ -664,13 +797,13 @@ class FederatedIndexView:
 
 
 class FederatedQueryExecutor(QueryExecutor):
-    """Actor-pool stage scoring each query against SEVERAL indexes as one
+    """Query stage scoring each query against SEVERAL indexes as one
     logical corpus (exact global stats via :class:`FederatedIndexView`).
     Reuses the TAAT / MaxScore machinery unchanged — only the view differs."""
 
     def __init__(
         self,
-        index_dirs: list[str],
+        index_dirs: list,
         topk: int = 10,
         mode: str = "maxscore",
         min_should_match: int = 1,
@@ -705,7 +838,7 @@ class QLTopkExecutor(QueryExecutor):
     quotient form, matching the SQL twin expression for 6-dp stability.
     """
 
-    def __init__(self, index_dir: str, topk: int = 10, mu: float = 2000.0):
+    def __init__(self, index_dir: str | IndexView, topk: int = 10, mu: float = 2000.0):
         super().__init__(index_dir, topk=topk)
         self.mu = float(mu)
         self.total_tokens = float(self.view.meta["total_tokens"])

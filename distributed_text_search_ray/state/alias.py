@@ -4,10 +4,11 @@ The blue/green reindex primitive (Elasticsearch alias-swap analog): serve
 queries through ``<alias>.alias.json`` while a rebuild (new analyzer,
 compaction, upsert batch) lands in a fresh directory, then ``set_alias``
 re-points readers in one ``os.replace`` — POSIX-atomic on a filesystem, so
-a concurrently starting executor sees either the old or the new target,
-never a torn file. Resolution happens when an executor CONSTRUCTS its
-IndexView (actor ``__init__``), the same moment it snapshots index metadata,
-so a running actor keeps serving its generation until the pool recycles —
+a concurrently starting task sees either the old or the new target, never a
+torn file. Query tasks resolve the alias when they build their executor
+(``state.generations`` keys each worker's cached view by the resolved
+directory), so the first task to start after ``set_alias`` serves the new
+target, while a task already running finishes on the generation it opened —
 the standard searcher-generation contract, not a mid-query switch.
 
 Reference analog: the reference has no serving layer at all (one-shot MPI

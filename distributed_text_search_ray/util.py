@@ -36,9 +36,12 @@ def round_half_away(x, ndigits: int = 6):
 
 
 def resolve_concurrency(concurrency=None):
-    """Default actor-pool sizing: autoscale between 1 and the cluster CPU
-    count so a single stage never reserves every CPU (which would starve the
-    read/write stages and serialize the pipeline)."""
+    """Default actor-pool sizing for the stages that keep actors — those
+    whose state is a model, a compiled query set or a writer (``ann``,
+    ``multimodal``, ``boolquery.percolate``, ``sources.sink``); index query
+    stages run as tasks (``stages.index_stage``). Autoscales between 1 and
+    the cluster CPU count so a single stage never reserves every CPU (which
+    would starve the read/write stages and serialize the pipeline)."""
     if concurrency is not None:
         return concurrency
     import ray

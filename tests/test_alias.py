@@ -1,19 +1,25 @@
 """Index aliases: atomic blue/green swap of the serving index.
 
-Contract: executors constructed against an alias path serve whatever index
-the alias pointed at WHEN the actor initialized; ``set_alias`` re-points via
+Contract: a query task resolves an alias path when it starts and serves the
+index the alias pointed at then (a task already running finishes on its
+generation; the next one sees a swap); ``set_alias`` re-points via
 os.replace so a reader never sees a torn file; swapping to the compacted /
 upserted sibling changes results exactly as querying it directly would.
+Every index-reading entry point accepts the alias path in place of the dir.
 """
 
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from distributed_text_search_ray.config import IndexConfig
 from distributed_text_search_ray.pipelines.build import build_index
-from distributed_text_search_ray.pipelines.search import search_topk
+from distributed_text_search_ray.pipelines.merge import upsert_docs
+from distributed_text_search_ray.pipelines.search import fuzzy_term_search, search_topk
+from distributed_text_search_ray.stages.executor import load_meta
 from distributed_text_search_ray.state.alias import resolve_index, set_alias
 
 
@@ -21,9 +27,6 @@ from distributed_text_search_ray.state.alias import resolve_index, set_alias
 def two_indexes(code_corpus, tmp_path_factory):
     """The full corpus index and a half-corpus index (visibly different
     results) — stand-ins for blue/green generations."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     from tests.conftest import corpus_docs
 
     corpus_dir, _ = code_corpus
@@ -90,3 +93,41 @@ def test_cli_alias_roundtrip(two_indexes, capsys):
     assert main(["alias", alias]) in (0, None)
     out = [ln for ln in capsys.readouterr().out.strip().splitlines() if ln]
     assert out[-1] == blue
+
+
+def test_fuzzy_term_search_through_alias(two_indexes):
+    """The fuzzy stage opens the term dictionary of the alias target."""
+    alias, _, green = two_indexes
+    set_alias(alias, green)
+    patterns = [(0, "dat", 1), (1, "valu", 1), (2, "retrn", 2)]
+
+    def stats(path):
+        rows = fuzzy_term_search(path, patterns).take_all()
+        return sorted(tuple(r.values()) for r in rows)
+
+    got = stats(alias)
+    assert got == stats(green) and len(got) == len(patterns)
+
+
+def test_upsert_docs_through_alias(two_indexes, tmp_path):
+    """upsert_docs takes its base index from the alias target."""
+    alias, _, green = two_indexes
+    set_alias(alias, green)
+    replaced = _rows(green)[0][2]
+    inserted = (1 << 40) + 1
+    delta = tmp_path / "delta"
+    delta.mkdir()
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([replaced, inserted], type=pa.int64()),
+                "content": ["zqxplanted alpha", "zqxplanted beta"],
+            }
+        ),
+        delta / "shard-0.parquet",
+    )
+    out = str(tmp_path / "upserted")
+    upsert_docs(alias, str(delta), out)
+    hits = {r["doc_id"] for r in search_topk(out, [(0, "zqxplanted")], topk=5).take_all()}
+    assert hits == {replaced, inserted}
+    assert load_meta(out)["N"] == load_meta(green)["N"] + 1
