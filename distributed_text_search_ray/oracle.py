@@ -214,7 +214,7 @@ def oracle_prefix_terms(
     analyzer: AnalyzerConfig | None = None,
 ) -> list[tuple[int, int, int, int]]:
     """Wildcard ``prefix*`` term stats: (query_id, n_matching_terms, n_docs,
-    n_occurrences). Mirrors PrefixCountExecutor."""
+    n_occurrences). Mirrors ExpansionCountExecutor(kind="prefix")."""
     idx = build_oracle_index(docs, analyzer)
     tk = Tokenizer(analyzer)
     out = []
@@ -239,7 +239,7 @@ def oracle_prefix_topk(
     cfg: IndexConfig | None = None,
 ) -> list[tuple[int, int, int, float]]:
     """BM25 top-k over the OR of the prefix-expanded term set. Mirrors
-    PrefixTopkExecutor."""
+    ExpansionTopkExecutor(kind="prefix")."""
     cfg = cfg or IndexConfig()
     idx = build_oracle_index(docs, cfg.analyzer)
     tk = Tokenizer(cfg.analyzer)

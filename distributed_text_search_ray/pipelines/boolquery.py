@@ -36,7 +36,6 @@ import ray.data
 
 from distributed_text_search_ray.stages.executor import IndexView, as_view
 from distributed_text_search_ray.stages.index_stage import index_stage
-from distributed_text_search_ray.util import resolve_concurrency
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ class _PercolateExecutor:
     documents are the stream — the alerting/routing shape (match each
     incoming doc against every saved query; Lucene/ES ``percolate``).
 
-    Queries parse and analyze ONCE per actor into DNF literal sets; each
+    Queries parse and analyze ONCE per task into DNF literal sets; each
     doc's token set is built once and every query evaluates by frozenset
     algebra (positive literals subset-of doc tokens, negated disjoint).
     Per-doc matching is O(query terms), independent of corpus size, and the
@@ -365,14 +364,10 @@ def percolate(
 ) -> ray.data.Dataset:
     """(doc_id, query_id) for every (document, stored boolean query) match —
     reverse search over a document stream."""
-    return docs.map_batches(
-        _PercolateExecutor,
-        fn_constructor_kwargs={
-            "queries": [(int(q), str(s)) for q, s in queries],
-            "analyzer": analyzer,
-        },
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
+    # batch_size=None: whole blocks, Ray Data's own map_batches default
+    return index_stage(
+        docs, _PercolateExecutor, None, batch_size=None, concurrency=concurrency,
+        queries=[(int(q), str(s)) for q, s in queries], analyzer=analyzer,
     )
 
 

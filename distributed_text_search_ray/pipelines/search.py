@@ -21,16 +21,20 @@ from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
 from distributed_text_search_ray.functions.lev import bounded_term_distances
 from distributed_text_search_ray.stages.executor import (
+    TOPK_SCHEMA,
     DictionaryExpander,  # re-exported: callers import it from this module
     IndexView,
     QueryExecutor,
     as_view,
+    no_hits,
     open_view,
+    segment_sum,
 )
 from distributed_text_search_ray.stages.index_stage import index_stage
 from distributed_text_search_ray.util import round_half_away
@@ -131,7 +135,7 @@ class MatchSetExecutor(QueryExecutor):
             batch.column("query_id").to_pylist(),
             batch.column("query").to_pylist(),
         ):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
+            terms = self._terms(qtext)
             all_docs, _ = self._term_contribs(terms)
             if not all_docs:
                 continue
@@ -220,7 +224,7 @@ class ScoredSetExecutor(QueryExecutor):
             batch.column("query_id").to_pylist(),
             batch.column("query").to_pylist(),
         ):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
+            terms = self._terms(qtext)
             docs, scores = self._score_taat(terms, self._ALL)
             if len(docs):
                 qs.append(np.full(len(docs), qid, dtype=np.int64))
@@ -527,50 +531,27 @@ class RescoreExecutor(QueryExecutor):
         self.rw = float(rescore_weight)
         self.fetch_pad = fetch_pad
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
         from distributed_text_search_ray.pipelines.phrase import (
             phrase_occurrence_counts,
         )
-        from distributed_text_search_ray.util import round_half_away
 
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for qid, qtext in zip(
-            batch.column("query_id").to_pylist(), batch.column("query").to_pylist()
-        ):
-            terms = self.tokenizer.tokens(qtext)
-            if not terms:
-                continue
-            docs, scores = self._score_taat(
-                sorted(set(terms)), self.window + self.fetch_pad
-            )
-            if not len(docs):
-                continue
-            s6 = round_half_away(scores, 6)
-            order = np.lexsort((docs, -s6))[: self.window]
-            wdocs, wscores = docs[order], s6[order]
-            srt = np.argsort(wdocs)
-            pdocs, pcounts = phrase_occurrence_counts(
-                self.view, terms, restrict=wdocs[srt]
-            )
-            bonus = np.zeros(len(wdocs), dtype=np.float64)
-            if len(pdocs):
-                at = np.searchsorted(wdocs[srt], pdocs)
-                bonus[srt[at]] = pcounts.astype(np.float64)
-            final = round_half_away(self.qw * wscores + self.rw * bonus, 6)
-            order2 = np.lexsort((wdocs, -final))[: self.topk]
-            for r, i in enumerate(order2, start=1):
-                out_q.append(int(qid))
-                out_r.append(r)
-                out_d.append(int(wdocs[i]))
-                out_s.append(float(final[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
+        terms = self.tokenizer.tokens(row["query"])
+        docs, scores = self._score_taat(sorted(set(terms)), self.window + self.fetch_pad)
+        if not len(docs):
+            return docs, scores
+        wdocs, wscores = _rounded_topk(docs, scores, self.window)
+        srt = np.argsort(wdocs)
+        pdocs, pcounts = phrase_occurrence_counts(
+            self.view, terms, restrict=wdocs[srt]
         )
+        bonus = np.zeros(len(wdocs), dtype=np.float64)
+        if len(pdocs):
+            at = np.searchsorted(wdocs[srt], pdocs)
+            bonus[srt[at]] = pcounts.astype(np.float64)
+        final = round_half_away(self.qw * wscores + self.rw * bonus, 6)
+        order2 = np.lexsort((wdocs, -final))[: self.topk]
+        return wdocs[order2], final[order2]
 
 
 def search_topk_rescored(
@@ -591,6 +572,37 @@ def search_topk_rescored(
     )
 
 
+def _first_token(tokenizer, raw: str) -> str:
+    toks = tokenizer.tokens(raw)
+    return toks[0] if toks else ""
+
+
+def _live_term_stats(view, expander, qids: list, expansions: list[np.ndarray]) -> pa.Table:
+    """(query_id, n_matching_terms, n_docs, n_occurrences) per query from
+    the dictionary indices each query expanded to.
+
+    Occurrences come from LIVE postings (tf sums), not dictionary cf: cf is a
+    build-time stat that would still count tombstoned docs. The distinct-doc
+    count stays in numpy (concatenate + unique): a pattern matching a
+    Zipf-head term would make a Python set of ~N ints (hundreds of bytes per
+    int) the task's peak memory."""
+    n_terms, n_docs, n_occ = [], [], []
+    for idxs in expansions:
+        posts = [view.term_postings(expander.term_at(i)) for i in idxs]
+        chunks = [pl[0] for pl in posts]
+        n_terms.append(int(idxs.size))
+        n_docs.append(int(np.unique(np.concatenate(chunks)).size) if chunks else 0)
+        n_occ.append(int(sum(int(pl[1].sum()) for pl in posts)))
+    return pa.table(
+        {
+            "query_id": pa.array(qids, type=pa.int64()),
+            "n_matching_terms": pa.array(n_terms, type=pa.int64()),
+            "n_docs": pa.array(n_docs, type=pa.int64()),
+            "n_occurrences": pa.array(n_occ, type=pa.int64()),
+        }
+    )
+
+
 class FuzzyCountExecutor:
     """Query stage: (query_id, pattern, k) -> term-level fuzzy stats.
 
@@ -607,31 +619,12 @@ class FuzzyCountExecutor:
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"query_id": [], "n_matching_terms": [], "n_docs": [], "n_occurrences": []}
-        for row in batch.to_pylist():
-            toks = self.tokenizer.tokens(row["pattern"])
-            p = toks[0] if toks else ""
-            idxs = self.expander.expand(p, int(row["k"]))
-            # occurrences from LIVE postings (tf sums), not dictionary cf:
-            # cf is a build-time stat that would still count tombstoned docs.
-            # distinct-doc count stays in numpy (concatenate + unique): a
-            # pattern matching a Zipf-head term would make a Python set of
-            # ~N ints (hundreds of bytes per int) the task's peak memory
-            posts = [self.view.term_postings(self.expander.term_at(i)) for i in idxs]
-            occ = int(sum(int(pl[1].sum()) for pl in posts))
-            chunks = [pl[0] for pl in posts]
-            n_docs = int(np.unique(np.concatenate(chunks)).size) if chunks else 0
-            out["query_id"].append(int(row["query_id"]))
-            out["n_matching_terms"].append(int(idxs.size))
-            out["n_docs"].append(n_docs)
-            out["n_occurrences"].append(occ)
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "n_matching_terms": pa.array(out["n_matching_terms"], type=pa.int64()),
-                "n_docs": pa.array(out["n_docs"], type=pa.int64()),
-                "n_occurrences": pa.array(out["n_occurrences"], type=pa.int64()),
-            }
+        expansions = [
+            self.expander.expand(_first_token(self.tokenizer, p), int(k))
+            for p, k in zip(batch.column("pattern").to_pylist(), batch.column("k").to_pylist())
+        ]
+        return _live_term_stats(
+            self.view, self.expander, batch.column("query_id").to_pylist(), expansions
         )
 
 
@@ -653,40 +646,15 @@ class FuzzyTopkExecutor(QueryExecutor):
     """BM25 over the OR of the fuzzy-expanded term set (scale path for the
     reference's approximate matching: index lookup instead of a corpus scan)."""
 
-    def __init__(
-        self,
-        index_dir: str,
-        topk: int = 10,
-        k_lev: int = 1,
-        transpositions: bool = False,
-    ):
+    def __init__(self, index_dir: str, topk: int = 10, transpositions: bool = False):
         super().__init__(index_dir, topk=topk)
         self.expander = self.view.dictionary()
-        self.k_lev = k_lev
         self.transpositions = transpositions
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for row in batch.to_pylist():
-            toks = self.tokenizer.tokens(row["pattern"])
-            p = toks[0] if toks else ""
-            k_lev = int(row["k"]) if "k" in batch.column_names else self.k_lev
-            idxs = self.expander.expand(p, k_lev, transpositions=self.transpositions)
-            terms = sorted(self.expander.term_at(i) for i in idxs)
-            docs, scores = self._score_taat(terms, self.topk)
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(int(row["query_id"]))
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        p = _first_token(self.tokenizer, row["pattern"])
+        idxs = self.expander.expand(p, int(row["k"]), transpositions=self.transpositions)
+        return self._score_taat(sorted(self.expander.term_at(i) for i in idxs), self.topk)
 
 
 class SuggestExecutor:
@@ -906,45 +874,28 @@ class MoreLikeThisExecutor(QueryExecutor):
     ulp) — then scored as an OR query with the standard exact TAAT path,
     the source doc itself excluded."""
 
+    ID_COLUMN = "src_doc_id"
+
     def __init__(self, index_dir: str, top_terms: int = 5, topk: int = 5):
         super().__init__(index_dir, topk=topk, mode="taat")
         self.top_terms = top_terms
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
         import math
 
-        from distributed_text_search_ray.functions import bm25
-
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for src_id, content in zip(
-            batch.column("src_doc_id").to_pylist(), batch.column("content").to_pylist()
-        ):
-            tf: dict[str, int] = {}
-            for t in self.tokenizer.tokens(content):
-                tf[t] = tf.get(t, 0) + 1
-            scored = []
-            for t, f in tf.items():
-                df = self.view.term_df(t)
-                if df:
-                    scored.append((-f * math.log(1.0 + (self.view.N - df + 0.5) / (df + 0.5)), t))
-            scored.sort()
-            terms = sorted(t for _, t in scored[: self.top_terms])
-            docs, scores = self._score_taat(terms, self.topk + 1)
-            keep = docs != src_id
-            docs, scores = docs[keep][: self.topk], scores[keep][: self.topk]
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(int(src_id))
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "src_doc_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+        tf: dict[str, int] = {}
+        for t in self.tokenizer.tokens(row["content"]):
+            tf[t] = tf.get(t, 0) + 1
+        scored = []
+        for t, f in tf.items():
+            df = self.view.term_df(t)
+            if df:
+                scored.append((-f * math.log(1.0 + (self.view.N - df + 0.5) / (df + 0.5)), t))
+        scored.sort()
+        terms = sorted(t for _, t in scored[: self.top_terms])
+        docs, scores = self._score_taat(terms, self.topk + 1)
+        keep = docs != row["src_doc_id"]
+        return docs[keep][: self.topk], scores[keep][: self.topk]
 
 
 def more_like_this(
@@ -1045,31 +996,66 @@ def attach_snippets(
     return docs.map_batches(snip, batch_format="pyarrow")
 
 
-class _FilteredView:
-    """IndexView proxy restricting every posting list to an allowed doc-id
-    set (sorted array, membership via searchsorted). Global stats (N, avgdl,
-    df) stay UNfiltered, so a doc's score is identical to its unfiltered
-    score — filtered search = the unfiltered ranking restricted to the
-    allowed set, the standard engine semantics (and what the SQL oracle
-    computes). Wraps only what taat/maxscore touch; block-decode ("wand")
-    mode goes through the base executor unfiltered."""
+class _MaskedView:
+    """IndexView proxy masking every posting list with a sorted doc-id set
+    (membership via searchsorted): ``keep=True`` keeps only the set's docs
+    (filtered search), ``keep=False`` drops them (``must_not``). Global
+    stats (N, avgdl, df) stay untouched, so a surviving doc's score is
+    bit-identical to its unrestricted score — the unrestricted ranking
+    restricted to the surviving docs, the standard engine semantics (ES
+    ``bool`` filter / must_not) and what the SQL oracle computes. Wraps
+    only what taat/maxscore touch; the block-decode ("wand") mode reads
+    segment blocks directly, so every executor with a masked view rejects
+    it."""
 
-    def __init__(self, view, allowed_sorted: np.ndarray):
+    def __init__(self, view, ids_sorted: np.ndarray, keep: bool):
         self._view = view
-        self._allowed = allowed_sorted
+        self._ids = ids_sorted
+        self._keep = keep
 
     def __getattr__(self, name):
         return getattr(self._view, name)
 
     def term_postings(self, term: str):
         docs, tfs, dls, df = self._view.term_postings(term)
-        if not len(docs) or not len(self._allowed):
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z, df
-        pos = np.searchsorted(self._allowed, docs)
-        pos_c = np.minimum(pos, len(self._allowed) - 1)
-        keep = self._allowed[pos_c] == docs
+        if len(self._ids):
+            pos = np.minimum(np.searchsorted(self._ids, docs), len(self._ids) - 1)
+            hit = self._ids[pos] == docs
+        else:
+            hit = np.zeros(len(docs), dtype=bool)
+        keep = hit if self._keep else ~hit
         return docs[keep], tfs[keep], dls[keep], df
+
+
+def _attribute_tables(index_dir: str, attr: str) -> list[pa.Table]:
+    """(doc_id, ``attr``) of every attributes/ sidecar shard that has the
+    column (written when ``IndexConfig.attribute_columns`` is set). A shard
+    without the column (it had no such attribute) is skipped, so its docs
+    never pass an attribute filter. Raises if the index has no sidecar."""
+    import glob as _glob
+
+    attr_dir = os.path.join(index_dir, "attributes")
+    files = sorted(_glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
+    if not files:
+        raise FileNotFoundError(
+            f"no attribute sidecar under {attr_dir}; build with "
+            f"IndexConfig(attribute_columns=({attr!r},))"
+        )
+    return [
+        pq.read_table(f, columns=["doc_id", attr])
+        for f in files
+        if attr in pq.read_schema(f).names
+    ]
+
+
+def _attribute_ids(index_dir: str, attr: str, predicate) -> np.ndarray:
+    """Sorted doc ids whose ``attr`` value passes ``predicate`` (an Arrow
+    column -> boolean mask function)."""
+    chunks = [
+        t.filter(predicate(t.column(attr))).column("doc_id").to_numpy()
+        for t in _attribute_tables(index_dir, attr)
+    ]
+    return np.sort(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
 
 
 def load_attribute_ids(index_dir: str, attr: str, value: str) -> np.ndarray:
@@ -1079,29 +1065,7 @@ def load_attribute_ids(index_dir: str, attr: str, value: str) -> np.ndarray:
     (load only the ranges overlapping the postings being scored) — the
     sidecar files are already per-shard, so that refinement is a reader
     change, not a format change."""
-    import glob as _glob
-
-    import pyarrow.compute as pc
-
-    attr_dir = os.path.join(index_dir, "attributes")
-    files = sorted(_glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
-    if not files:
-        raise FileNotFoundError(
-            f"no attribute sidecar under {attr_dir}; build with "
-            f"IndexConfig(attribute_columns=({attr!r},))"
-        )
-    # per-shard sidecars may lack the column entirely (shard had no such
-    # attribute): those shards' docs are excluded from filtered results —
-    # skip them rather than raising on the column projection
-    chunks = []
-    for f in files:
-        if attr not in pq.read_schema(f).names:
-            continue
-        t = pq.read_table(f, columns=["doc_id", attr])
-        chunks.append(
-            t.filter(pc.equal(t.column(attr), value)).column("doc_id").to_numpy()
-        )
-    return np.sort(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+    return _attribute_ids(index_dir, attr, lambda col: pc.equal(col, value))
 
 
 class FilteredQueryExecutor(QueryExecutor):
@@ -1109,12 +1073,17 @@ class FilteredQueryExecutor(QueryExecutor):
     attribute matches. The allowed-id array loads once per task."""
 
     def __init__(self, index_dir: str, attr: str, value: str, topk: int = 10, mode: str = "maxscore"):
+        self._restrict(
+            index_dir, topk, mode, lambda ex: load_attribute_ids(ex.view.index_dir, attr, value)
+        )
+
+    def _restrict(self, index_dir, topk: int, mode: str, allowed) -> None:
+        """The filtered executors' one constructor: a taat/maxscore executor
+        whose view keeps only the sorted doc ids ``allowed(self)`` returns."""
         if mode == "wand":
             raise ValueError("filtered search supports taat/maxscore modes")
-        super().__init__(index_dir, topk=topk, mode=mode)
-        self._base_view = self.view
-        allowed = load_attribute_ids(self.view.index_dir, attr, value)
-        self.view = _FilteredView(self._base_view, allowed)
+        QueryExecutor.__init__(self, index_dir, topk=topk, mode=mode)
+        self.view = _MaskedView(self.view, allowed(self), keep=True)
 
 
 def search_topk_filtered(
@@ -1173,65 +1142,6 @@ def fuzzy_search_topk(
     )
 
 
-class PrefixCountExecutor:
-    """Query stage: (query_id, prefix) -> wildcard ``prefix*`` term
-    stats — the classic fulltext prefix/wildcard query, answered purely from
-    the dictionary + postings (no content scan).
-
-    Output per query mirrors ``FuzzyCountExecutor``: ``n_matching_terms``,
-    ``n_docs`` (distinct docs containing any matched term),
-    ``n_occurrences`` (sum of matched terms' collection frequency).
-
-    Expansion is one vectorized ``pc.starts_with`` over the dictionary's
-    Arrow string array (loaded once per worker and index generation). The
-    per-partition dictionaries concatenate unsorted, so a searchsorted range
-    scan would need a one-time global sort; at any vocabulary that fits a
-    worker the
-    zero-copy vectorized scan is simpler and just as bounded — both are
-    O(V) resident either way.
-    """
-
-    def __init__(self, index_dir: str | IndexView):
-        self.view = as_view(index_dir)
-        self.expander = self.view.dictionary()
-        from distributed_text_search_ray.functions.tokenize import Tokenizer
-
-        self.tokenizer = Tokenizer(self.view.cfg.analyzer)
-
-    def _normalize(self, raw: str) -> str:
-        toks = self.tokenizer.tokens(raw)
-        return toks[0] if toks else ""
-
-    def _expand(self, prefix: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.starts_with(self.expander.terms, prefix)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"query_id": [], "n_matching_terms": [], "n_docs": [], "n_occurrences": []}
-        for row in batch.to_pylist():
-            idxs = self._expand(self._normalize(row["prefix"]))
-            # occurrences from LIVE postings (tf sums), not dictionary cf:
-            # cf is a build-time stat that would still count tombstoned docs
-            posts = [self.view.term_postings(self.expander.term_at(i)) for i in idxs]
-            occ = int(sum(int(pl[1].sum()) for pl in posts))
-            chunks = [pl[0] for pl in posts]
-            n_docs = int(np.unique(np.concatenate(chunks)).size) if chunks else 0
-            out["query_id"].append(int(row["query_id"]))
-            out["n_matching_terms"].append(int(idxs.size))
-            out["n_docs"].append(n_docs)
-            out["n_occurrences"].append(occ)
-        return pa.table(
-            {
-                "query_id": pa.array(out["query_id"], type=pa.int64()),
-                "n_matching_terms": pa.array(out["n_matching_terms"], type=pa.int64()),
-                "n_docs": pa.array(out["n_docs"], type=pa.int64()),
-                "n_occurrences": pa.array(out["n_occurrences"], type=pa.int64()),
-            }
-        )
-
-
 def prefix_term_search(
     index_dir: str,
     prefixes: Iterable[tuple[int, str]],
@@ -1240,7 +1150,8 @@ def prefix_term_search(
     """Wildcard ``prefix*`` term stats for (query_id, prefix) pairs."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
     return index_stage(
-        items, PrefixCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        items, ExpansionCountExecutor, index_dir, batch_size=64,
+        concurrency=concurrency, kind="prefix",
     )
 
 
@@ -1266,22 +1177,6 @@ def wildcard_to_like(pattern: str) -> str:
     return "".join(out)
 
 
-class WildcardCountExecutor(PrefixCountExecutor):
-    """General ``*``/``?`` wildcard term stats (mid-pattern wildcards, not
-    just prefixes): expansion is one vectorized ``pc.match_like`` over the
-    cached dictionary; everything downstream (live-postings stats,
-    tombstone filtering) is shared with the prefix executor."""
-
-    def _normalize(self, raw: str) -> str:
-        return wildcard_to_like(raw)
-
-    def _expand(self, like: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.match_like(self.expander.terms, like)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-
-
 def wildcard_term_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str]],
@@ -1290,8 +1185,8 @@ def wildcard_term_search(
     """General wildcard (``*``/``?``) term stats for (query_id, pattern)."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, WildcardCountExecutor, index_dir, batch_size=64,
-        concurrency=concurrency,
+        items, ExpansionCountExecutor, index_dir, batch_size=64,
+        concurrency=concurrency, kind="wildcard",
     )
 
 
@@ -1304,65 +1199,9 @@ def wildcard_topk_search(
     """Ranked retrieval over the wildcard-expanded term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, WildcardTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
-        topk=topk,
+        items, ExpansionTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        kind="wildcard", topk=topk,
     )
-
-
-class PrefixTopkExecutor(QueryExecutor):
-    """BM25 over the OR of the prefix-expanded term set (wildcard retrieval:
-    every doc containing any ``prefix*`` term, ranked). Same exhaustive
-    TAAT scorer as ``FuzzyTopkExecutor`` — expansion differs, scoring is
-    shared, so the two stay bit-comparable under one oracle formula."""
-
-    def __init__(self, index_dir: str, topk: int = 10):
-        super().__init__(index_dir, topk=topk)
-        self.expander = self.view.dictionary()
-
-    def _normalize(self, raw: str) -> str:
-        toks = self.tokenizer.tokens(raw)
-        return toks[0] if toks else ""
-
-    def _expand(self, pattern: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.starts_with(self.expander.terms, pattern)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for row in batch.to_pylist():
-            idxs = self._expand(self._normalize(row["prefix"]))
-            terms = sorted(self.expander.term_at(i) for i in idxs)
-            docs, scores = self._score_taat(terms, self.topk)
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(int(row["query_id"]))
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-
-class WildcardTopkExecutor(PrefixTopkExecutor):
-    """BM25 over the OR of the wildcard-expanded term set — same shared
-    TAAT scorer as prefix/fuzzy/synonym retrieval, so all expansion
-    flavors stay bit-comparable under one oracle formula."""
-
-    def _normalize(self, raw: str) -> str:
-        return wildcard_to_like(raw)
-
-    def _expand(self, like: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.match_like(self.expander.terms, like)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
 
 
 def regexp_anchor(pattern: str) -> str:
@@ -1379,34 +1218,74 @@ def regexp_anchor(pattern: str) -> str:
     return "^(?:" + pattern.lower() + ")$"
 
 
-class RegexpCountExecutor(PrefixCountExecutor):
-    """Regexp term stats (Lucene RegexpQuery analog): the pattern is matched
-    against every dictionary term, whole-term semantics; stats come from
-    live postings like the prefix/wildcard flavors."""
-
-    def _normalize(self, raw: str) -> str:
-        return regexp_anchor(raw)
-
-    def _expand(self, anchored: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.match_substring_regex(self.expander.terms, anchored)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
+# kind -> (normalize(tokenizer, raw pattern), Arrow string-match kernel)
+_EXPANSIONS = {
+    "prefix": (_first_token, pc.starts_with),
+    "wildcard": (lambda tok, raw: wildcard_to_like(raw), pc.match_like),
+    "regexp": (lambda tok, raw: regexp_anchor(raw), pc.match_substring_regex),
+}
 
 
-class RegexpTopkExecutor(PrefixTopkExecutor):
-    """BM25 over the OR of the regexp-expanded term set — the same shared
-    TAAT scorer as prefix/wildcard/fuzzy/synonym retrieval, so every
+def _expand_pattern(kind: str, tokenizer, expander, raw: str) -> np.ndarray:
+    """Dictionary indices of the terms the ``kind`` pattern ``raw`` matches."""
+    normalize, match = _EXPANSIONS[kind]
+    mask = match(expander.terms, normalize(tokenizer, raw))
+    return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
+
+
+class ExpansionCountExecutor:
+    """Query stage: (query_id, prefix) -> term stats of the pattern's
+    dictionary expansion — the classic fulltext prefix (``prefix*``),
+    general ``*``/``?`` wildcard and whole-term regexp (Lucene RegexpQuery)
+    term queries, answered purely from the dictionary + postings (no content
+    scan). ``kind`` picks the row of ``_EXPANSIONS``.
+
+    Output per query mirrors ``FuzzyCountExecutor``: ``n_matching_terms``,
+    ``n_docs`` (distinct docs containing any matched term),
+    ``n_occurrences`` (sum of matched terms' live tf).
+
+    Expansion is one vectorized Arrow match (``pc.starts_with`` /
+    ``pc.match_like`` / ``pc.match_substring_regex``) over the dictionary's
+    Arrow string array (loaded once per worker and index generation). The
+    per-partition dictionaries concatenate unsorted, so a searchsorted range
+    scan would need a one-time global sort; at any vocabulary that fits a
+    worker the zero-copy vectorized scan is simpler and just as bounded —
+    both are O(V) resident either way.
+    """
+
+    def __init__(self, index_dir: str | IndexView, kind: str):
+        from distributed_text_search_ray.functions.tokenize import Tokenizer
+
+        self.view = as_view(index_dir)
+        self.expander = self.view.dictionary()
+        self.tokenizer = Tokenizer(self.view.cfg.analyzer)
+        self.kind = kind
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        expansions = [
+            _expand_pattern(self.kind, self.tokenizer, self.expander, raw)
+            for raw in batch.column("prefix").to_pylist()
+        ]
+        return _live_term_stats(
+            self.view, self.expander, batch.column("query_id").to_pylist(), expansions
+        )
+
+
+class ExpansionTopkExecutor(QueryExecutor):
+    """BM25 over the OR of a prefix / wildcard / regexp pattern's expanded
+    term set (ranked wildcard retrieval: every doc containing any matched
+    term). Same exhaustive TAAT scorer as ``FuzzyTopkExecutor`` and
+    ``SynonymTopkExecutor`` — expansion differs, scoring is shared, so every
     expansion flavor stays bit-comparable under one oracle formula."""
 
-    def _normalize(self, raw: str) -> str:
-        return regexp_anchor(raw)
+    def __init__(self, index_dir: str, kind: str, topk: int = 10):
+        super().__init__(index_dir, topk=topk)
+        self.expander = self.view.dictionary()
+        self.kind = kind
 
-    def _expand(self, anchored: str) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        mask = pc.match_substring_regex(self.expander.terms, anchored)
-        return np.flatnonzero(mask.to_numpy(zero_copy_only=False))
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        idxs = _expand_pattern(self.kind, self.tokenizer, self.expander, row["prefix"])
+        return self._score_taat(sorted(self.expander.term_at(i) for i in idxs), self.topk)
 
 
 def regexp_term_search(
@@ -1417,7 +1296,8 @@ def regexp_term_search(
     """Whole-term regexp term stats for (query_id, pattern) pairs."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, RegexpCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        items, ExpansionCountExecutor, index_dir, batch_size=64,
+        concurrency=concurrency, kind="regexp",
     )
 
 
@@ -1430,7 +1310,8 @@ def regexp_topk_search(
     """Ranked retrieval over the regexp-expanded term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, RegexpTopkExecutor, index_dir, concurrency=concurrency, topk=topk,
+        items, ExpansionTopkExecutor, index_dir, concurrency=concurrency,
+        kind="regexp", topk=topk,
     )
 
 
@@ -1443,7 +1324,8 @@ def prefix_search_topk(
     """Ranked wildcard retrieval: top-k BM25 over each prefix's term set."""
     items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
     return index_stage(
-        items, PrefixTopkExecutor, index_dir, concurrency=concurrency, topk=topk,
+        items, ExpansionTopkExecutor, index_dir, concurrency=concurrency,
+        kind="prefix", topk=topk,
     )
 
 
@@ -1461,27 +1343,12 @@ class SynonymTopkExecutor(QueryExecutor):
         super().__init__(index_dir, topk=topk)
         self.synonyms = {k: list(v) for k, v in synonyms.items()}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for row in batch.to_pylist():
-            toks = self.tokenizer.tokens(row["query"])
-            expanded = set(toks)
-            for t in toks:
-                expanded.update(self.synonyms.get(t, ()))
-            docs, scores = self._score_taat(sorted(expanded), self.topk)
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(int(row["query_id"]))
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        toks = self.tokenizer.tokens(row["query"])
+        expanded = set(toks)
+        for t in toks:
+            expanded.update(self.synonyms.get(t, ()))
+        return self._score_taat(sorted(expanded), self.topk)
 
 
 def search_topk_synonyms(
@@ -1498,32 +1365,33 @@ def search_topk_synonyms(
     )
 
 
-class BooleanFilteredQueryExecutor(QueryExecutor):
+class BooleanFilteredQueryExecutor(FilteredQueryExecutor):
     """Query stage: top-k BM25 restricted to docs matching a BOOLEAN
     filter query — Lucene's filter-query semantics (the filter gates, the
     ranked query scores; filter terms contribute nothing to the score).
     The filter evaluates ONCE per task in ``__init__`` (posting-list set
-    algebra, rarest-first) and becomes a ``_FilteredView`` allowed set, so
+    algebra, rarest-first) and becomes a masked view's allowed set, so
     per-batch work is identical to attribute-filtered search."""
 
     def __init__(self, index_dir: str, filter_query: str, topk: int = 10, mode: str = "maxscore"):
-        if mode == "wand":
-            raise ValueError("filtered search supports taat/maxscore modes")
-        super().__init__(index_dir, topk=topk, mode=mode)
-        from distributed_text_search_ray.pipelines.boolquery import (
-            _BooleanExecutor,
-            parse_boolean_query,
-        )
+        self._restrict(index_dir, topk, mode, lambda ex: _boolean_filter_ids(ex, filter_query))
 
-        be = _BooleanExecutor.__new__(_BooleanExecutor)
-        be.view = self.view
-        be.tokenizer = self.tokenizer
-        groups = parse_boolean_query(filter_query)
-        acc = be._eval_conj(groups[0])
-        for g in groups[1:]:
-            acc = np.union1d(acc, be._eval_conj(g))
-        self._base_view = self.view
-        self.view = _FilteredView(self._base_view, np.sort(acc))
+
+def _boolean_filter_ids(ex: QueryExecutor, filter_query: str) -> np.ndarray:
+    """Sorted ids of the docs of ``ex``'s view that match ``filter_query``."""
+    from distributed_text_search_ray.pipelines.boolquery import (
+        _BooleanExecutor,
+        parse_boolean_query,
+    )
+
+    be = _BooleanExecutor.__new__(_BooleanExecutor)
+    be.view = ex.view
+    be.tokenizer = ex.tokenizer
+    groups = parse_boolean_query(filter_query)
+    acc = be._eval_conj(groups[0])
+    for g in groups[1:]:
+        acc = np.union1d(acc, be._eval_conj(g))
+    return np.sort(acc)
 
 
 def search_topk_boolean_filtered(
@@ -1576,9 +1444,9 @@ def hybrid_search_topk(
     deterministic feature-hashing vectorizer (``textstats.hash_slot``
     scheme) USING THE INDEX'S ANALYZER, so both sides rank over the same
     token space (a stemmed/stop-filtered index stems/stops its dense side
-    too). Both sides are the engine's existing distributed primitives (BM25
-    executor pool; broadcast-query cosine top-k); only the q x fetch_k
-    fused candidate lists reach the driver.
+    too). Both sides are the engine's existing distributed primitives (the
+    BM25 ``search_topk`` task stage; broadcast-query cosine top-k); only the
+    q x fetch_k fused candidate lists reach the driver.
 
     Pass ``vectors`` (any (vec_id, embedding) Dataset, e.g. a persisted
     ``hashed_doc_vectors`` output) to skip the per-call corpus
@@ -1751,35 +1619,22 @@ def load_attribute_ids_range(
     """Sorted doc ids whose NUMERIC build-time attribute lies in
     [lo, hi] (either bound optional) — the range-filter twin of
     ``load_attribute_ids``; same per-shard sidecar, vectorized compare."""
-    import glob as _glob
 
-    import pyarrow.compute as pc
-
-    attr_dir = os.path.join(index_dir, "attributes")
-    files = sorted(_glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
-    if not files:
-        raise FileNotFoundError(
-            f"no attribute sidecar under {attr_dir}; build with "
-            f"IndexConfig(attribute_columns=({attr!r},))"
-        )
-    chunks = []
-    for f in files:
-        if attr not in pq.read_schema(f).names:
-            continue
-        t = pq.read_table(f, columns=["doc_id", attr])
-        mask = pc.is_valid(t.column(attr))
+    def in_range(col):
+        mask = pc.is_valid(col)
         if lo is not None:
-            mask = pc.and_(mask, pc.greater_equal(t.column(attr), lo))
+            mask = pc.and_(mask, pc.greater_equal(col, lo))
         if hi is not None:
-            mask = pc.and_(mask, pc.less_equal(t.column(attr), hi))
-        chunks.append(t.filter(mask).column("doc_id").to_numpy())
-    return np.sort(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+            mask = pc.and_(mask, pc.less_equal(col, hi))
+        return mask
+
+    return _attribute_ids(index_dir, attr, in_range)
 
 
-class RangeFilteredQueryExecutor(QueryExecutor):
+class RangeFilteredQueryExecutor(FilteredQueryExecutor):
     """Top-k BM25 restricted to docs whose numeric sidecar attribute lies in
     [lo, hi] — the range-filter counterpart of ``FilteredQueryExecutor``
-    (same FilteredView semantics: global stats, restricted ranking)."""
+    (same masked-view semantics: global stats, restricted ranking)."""
 
     def __init__(
         self,
@@ -1790,12 +1645,9 @@ class RangeFilteredQueryExecutor(QueryExecutor):
         topk: int = 10,
         mode: str = "maxscore",
     ):
-        if mode == "wand":
-            raise ValueError("filtered search supports taat/maxscore modes")
-        super().__init__(index_dir, topk=topk, mode=mode)
-        self._base_view = self.view
-        self.view = _FilteredView(
-            self._base_view, load_attribute_ids_range(self.view.index_dir, attr, lo, hi)
+        self._restrict(
+            index_dir, topk, mode,
+            lambda ex: load_attribute_ids_range(ex.view.index_dir, attr, lo, hi),
         )
 
 
@@ -1840,40 +1692,11 @@ class SearchAfterExecutor(QueryExecutor):
     escalations.
     """
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qids = batch.column("query_id").to_pylist()
-        qtexts = batch.column("query").to_pylist()
-        a_ss = batch.column("after_score").to_pylist()
-        a_ds = batch.column("after_doc_id").to_pylist()
-        ks = (
-            batch.column("topk").to_pylist()
-            if "topk" in batch.column_names
-            else [self.topk] * len(qids)
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        terms = self._terms(row["query"])
+        return self._page_after(
+            terms, int(self.topk), float(row["after_score"]), int(row["after_doc_id"])
         )
-        for qid, qtext, a_s, a_d, k in zip(qids, qtexts, a_ss, a_ds, ks):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            d_page, s_page = self._page_after(terms, int(k), float(a_s), int(a_d))
-            for r, (d, s) in enumerate(zip(d_page.tolist(), s_page.tolist()), start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-    def _raw_topf(self, terms: list[str], f: int):
-        if self.mode == "wand":
-            return self._score_wand(terms, f)
-        if self.mode == "maxscore":
-            return self._score_maxscore(terms, f)
-        return self._score_taat(terms, f)
 
     def _page_after(self, terms, k: int, a_s: float, a_d: int):
         # two-pass, not a x4 ladder: the TAAT accumulate dominates and is
@@ -1883,7 +1706,7 @@ class SearchAfterExecutor(QueryExecutor):
         # ladder cost 6x page-1 latency at 1.15M docs on tie-dense corpora)
         f = 4 * k + 16
         while True:
-            docs, scores = self._raw_topf(terms, f)
+            docs, scores = self._score(terms, f)
             exhausted = len(docs) < f
             rs = round_half_away(scores, 6)
             order = np.lexsort((docs, -rs))
@@ -1954,25 +1777,12 @@ class CollapseTopkExecutor(SearchAfterExecutor):
 
     def __init__(self, index_dir: str, attr: str, topk: int = 10, mode: str = "taat"):
         super().__init__(index_dir, topk=topk, mode=mode)
-        import glob as _glob
-
-        import pyarrow.compute as pc
-
-        attr_dir = os.path.join(self.view.index_dir, "attributes")
-        files = sorted(_glob.glob(os.path.join(attr_dir, "*.attrs.parquet")))
-        if not files:
-            raise FileNotFoundError(
-                f"no attribute sidecar under {attr_dir}; build with "
-                f"IndexConfig(attribute_columns=({attr!r},))"
-            )
-        ids_chunks, val_chunks = [], []
-        for f in files:
-            if attr not in pq.read_schema(f).names:
-                continue
-            t = pq.read_table(f, columns=["doc_id", attr])
-            t = t.filter(pc.is_valid(t.column(attr)))
-            ids_chunks.append(t.column("doc_id").to_numpy())
-            val_chunks.append(np.asarray(t.column(attr).to_pylist(), dtype=object))
+        tables = [
+            t.filter(pc.is_valid(t.column(attr)))
+            for t in _attribute_tables(self.view.index_dir, attr)
+        ]
+        ids_chunks = [t.column("doc_id").to_numpy() for t in tables]
+        val_chunks = [np.asarray(t.column(attr).to_pylist(), dtype=object) for t in tables]
         ids = np.concatenate(ids_chunks) if ids_chunks else np.empty(0, np.int64)
         vals = np.concatenate(val_chunks) if val_chunks else np.empty(0, object)
         order = np.argsort(ids)
@@ -1992,54 +1802,28 @@ class CollapseTopkExecutor(SearchAfterExecutor):
             for p, h, d in zip(pos_c, hit, docs)
         ]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qids = batch.column("query_id").to_pylist()
-        qtexts = batch.column("query").to_pylist()
-        ks = (
-            batch.column("topk").to_pylist()
-            if "topk" in batch.column_names
-            else [self.topk] * len(qids)
-        )
-        for qid, qtext, k in zip(qids, qtexts, ks):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            d_page, s_page = self._collapse_topk(terms, int(k))
-            for r, (d, s) in enumerate(zip(d_page, s_page), start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-    def _collapse_topk(self, terms: list[str], k: int):
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        terms = self._terms(row["query"])
+        k = int(self.topk)
         f = 4 * k + 16
         while True:
-            docs, scores = self._raw_topf(terms, f)
+            docs, scores = self._score(terms, f)
             exhausted = len(docs) < f
             rs = round_half_away(scores, 6)
             order = np.lexsort((docs, -rs))
             d_o, s_o = docs[order], rs[order]
-            vals = self._values_of(d_o)
             seen: set = set()
-            kept_d, kept_s = [], []
-            for d, s, v in zip(d_o.tolist(), s_o.tolist(), vals):
+            kept: list[int] = []
+            for i, v in enumerate(self._values_of(d_o)):
                 if v in seen:
                     continue
                 seen.add(v)
-                kept_d.append(d)
-                kept_s.append(s)
-                if len(kept_d) == k:
+                kept.append(i)
+                if len(kept) == k:
                     break
             tier_min = s_o[-1] if len(s_o) else 0.0
-            if exhausted or (len(kept_d) == k and kept_s[-1] > tier_min):
-                return kept_d, kept_s
+            if exhausted or (len(kept) == k and s_o[kept[-1]] > tier_min):
+                return d_o[kept], s_o[kept]
             f = 1 << 60  # exhaustive second pass (see _page_after rationale)
 
 
@@ -2060,7 +1844,7 @@ def search_topk_collapsed(
     )
 
 
-class FieldedQueryExecutor:
+class FieldedQueryExecutor(QueryExecutor):
     """Field-weighted search: ``score(d) = sum_f w_f * bm25_f(d)`` — a
     linear combination of PER-FIELD BM25 scores, each field backed by its
     own index over that field's text (title/content/path...), all sharing
@@ -2101,71 +1885,54 @@ class FieldedQueryExecutor:
             raise ValueError(f"combine must be 'sum' or 'dismax', got {combine!r}")
         self.combine = combine
         self.tie_breaker = float(tie_breaker)
-        if set(index_dirs) != set(weights):
-            raise ValueError("index_dirs and weights must share field names")
-        self.fields = sorted(index_dirs)
-        self.execs = {f: QueryExecutor(index_dirs[f], topk=topk) for f in self.fields}
-        fps = {
-            f: e.view.cfg.analyzer.fingerprint() for f, e in self.execs.items()
-        }
-        if len(set(fps.values())) != 1:
-            raise ValueError(
-                f"fielded search needs one analyzer across fields, got {fps}"
-            )
-        self.weights = {f: float(weights[f]) for f in self.fields}
-        self.topk = topk
-        self.tokenizer = self.execs[self.fields[0]].tokenizer
+        _open_fields(self, index_dirs, weights, topk)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qids = batch.column("query_id").to_pylist()
-        qtexts = batch.column("query").to_pylist()
-        ks = (
-            batch.column("topk").to_pylist()
-            if "topk" in batch.column_names
-            else [self.topk] * len(qids)
-        )
-        for qid, qtext, k in zip(qids, qtexts, ks):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            docs_all, contrib_all = [], []
-            for f in self.fields:
-                docs, scores = self.execs[f]._score_taat(terms, self._ALL)
-                if len(docs):
-                    docs_all.append(docs)
-                    contrib_all.append(self.weights[f] * scores)
-            if not docs_all:
-                continue
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        terms = self._terms(row["query"])
+        docs_all, contrib_all = [], []
+        for f in self.fields:
+            docs, scores = self.execs[f]._score_taat(terms, self._ALL)
+            if len(docs):
+                docs_all.append(docs)
+                contrib_all.append(self.weights[f] * scores)
+        if not docs_all:
+            return no_hits()
+        if self.combine == "dismax":
             docs = np.concatenate(docs_all)
             contrib = np.concatenate(contrib_all)
             order = np.argsort(docs, kind="stable")  # field order kept per doc
             sdocs, scontrib = docs[order], contrib[order]
-            is_start = np.empty(len(sdocs), dtype=bool)
-            is_start[0] = True
-            np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
-            seg = np.cumsum(is_start) - 1
-            uniq = sdocs[is_start]
-            if self.combine == "dismax":
-                starts = np.flatnonzero(is_start)
-                segsum = np.add.reduceat(scontrib, starts)
-                segmax = np.maximum.reduceat(scontrib, starts)
-                total = segmax + self.tie_breaker * (segsum - segmax)
-            else:
-                total = np.bincount(seg, weights=scontrib, minlength=len(uniq))
-            rs = round_half_away(total, 6)
-            cut = np.lexsort((uniq, -rs))[: int(k)]
-            for r, i in enumerate(cut, start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(int(uniq[i]))
-                out_s.append(float(rs[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+            starts = np.flatnonzero(np.concatenate(([True], sdocs[1:] != sdocs[:-1])))
+            uniq = sdocs[starts]
+            segsum = np.add.reduceat(scontrib, starts)
+            segmax = np.maximum.reduceat(scontrib, starts)
+            total = segmax + self.tie_breaker * (segsum - segmax)
+        else:
+            uniq, total = segment_sum(docs_all, contrib_all)
+        return _rounded_topk(uniq, total, self.topk)
+
+
+def _open_fields(ex: QueryExecutor, index_dirs: dict, weights: dict, topk: int) -> None:
+    """Per-field executors of a multi-field executor, in sorted field-name
+    order, all with one analyzer."""
+    if set(index_dirs) != set(weights):
+        raise ValueError("index_dirs and weights must share field names")
+    ex.fields = sorted(index_dirs)
+    ex.execs = {f: QueryExecutor(index_dirs[f], topk=topk) for f in ex.fields}
+    fps = {f: e.view.cfg.analyzer.fingerprint() for f, e in ex.execs.items()}
+    if len(set(fps.values())) != 1:
+        raise ValueError(f"fielded search needs one analyzer across fields, got {fps}")
+    ex.weights = {f: float(weights[f]) for f in ex.fields}
+    ex.topk = topk
+    ex.tokenizer = ex.execs[ex.fields[0]].tokenizer
+
+
+def _rounded_topk(docs: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k under the rounded rank contract: round(score, 6) desc, doc_id
+    asc; the rounded scores are returned."""
+    rs = round_half_away(scores, 6)
+    cut = np.lexsort((docs, -rs))[: int(k)]
+    return docs[cut], rs[cut]
 
 
 def search_topk_fielded(
@@ -2184,7 +1951,7 @@ def search_topk_fielded(
     )
 
 
-class BM25FTrueExecutor:
+class BM25FTrueExecutor(QueryExecutor):
     """TRUE BM25F (Robertson & Zaragoza): field-weighted term frequencies
     folded into ONE saturation —
 
@@ -2206,19 +1973,8 @@ class BM25FTrueExecutor:
         k1: float = 1.2,
         b: float = 0.75,
     ):
-        if set(index_dirs) != set(weights):
-            raise ValueError("index_dirs and weights must share field names")
-        self.fields = sorted(index_dirs)
-        self.execs = {f: QueryExecutor(index_dirs[f], topk=topk) for f in self.fields}
-        fps = {f: e.view.cfg.analyzer.fingerprint() for f, e in self.execs.items()}
-        if len(set(fps.values())) != 1:
-            raise ValueError(
-                f"fielded search needs one analyzer across fields, got {fps}"
-            )
-        self.weights = {f: float(weights[f]) for f in self.fields}
-        self.topk = topk
+        _open_fields(self, index_dirs, weights, topk)
         self.k1, self.b = float(k1), float(b)
-        self.tokenizer = self.execs[self.fields[0]].tokenizer
         self.N = self.execs[self.fields[0]].view.N
 
     def _term_merged(self, term: str) -> tuple[np.ndarray, np.ndarray]:
@@ -2233,8 +1989,7 @@ class BM25FTrueExecutor:
                 denom = 1.0 - self.b + self.b * (dls / v.avgdl)
                 per_field.append((docs, self.weights[f] * (tfs / denom)))
         if not per_field:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
+            return no_hits()
         docs_u = per_field[0][0]
         for docs, _ in per_field[1:]:
             docs_u = np.union1d(docs_u, docs)
@@ -2243,56 +1998,18 @@ class BM25FTrueExecutor:
             tfv[np.searchsorted(docs_u, docs)] += contrib
         return docs_u, tfv
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
         from distributed_text_search_ray.functions import bm25 as _bm25
 
-        out_q, out_r, out_d, out_s = [], [], [], []
-        ks = (
-            batch.column("topk").to_pylist()
-            if "topk" in batch.column_names
-            else [self.topk] * batch.num_rows
-        )
-        for qid, qtext, k in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("query").to_pylist(),
-            ks,
-        ):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            all_docs, all_contrib = [], []
-            for term in terms:
-                docs_u, tfv = self._term_merged(term)
-                if not len(docs_u):
-                    continue
-                idf = _bm25.idf(self.N, float(len(docs_u)))
-                all_docs.append(docs_u)
-                all_contrib.append(idf * (tfv / (self.k1 + tfv)))
-            if not all_docs:
+        all_docs, all_contrib = [], []
+        for term in self._terms(row["query"]):
+            docs_u, tfv = self._term_merged(term)
+            if not len(docs_u):
                 continue
-            docs = np.concatenate(all_docs)
-            contrib = np.concatenate(all_contrib)
-            order = np.argsort(docs, kind="stable")
-            sdocs, scontrib = docs[order], contrib[order]
-            is_start = np.empty(len(sdocs), dtype=bool)
-            is_start[0] = True
-            np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
-            seg = np.cumsum(is_start) - 1
-            uniq = sdocs[is_start]
-            total = np.bincount(seg, weights=scontrib, minlength=int(seg[-1]) + 1)
-            rs = round_half_away(total, 6)
-            cut = np.lexsort((uniq, -rs))[: int(k)]
-            for r, i in enumerate(cut, start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(int(uniq[i]))
-                out_s.append(float(rs[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+            idf = _bm25.idf(self.N, float(len(docs_u)))
+            all_docs.append(docs_u)
+            all_contrib.append(idf * (tfv / (self.k1 + tfv)))
+        return _rounded_topk(*segment_sum(all_docs, all_contrib), self.topk)
 
 
 def search_topk_bm25f_true(
@@ -2452,14 +2169,11 @@ class ExplainExecutor(QueryExecutor):
         v = self.view
         cfg = v.cfg
         for qid, qtext in zip(qids, qtexts):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
+            terms = self._terms(qtext)
             docs_top, scores_top = self._score_taat(terms, self.topk + 10)
             if not len(docs_top):
                 continue
-            rs = round_half_away(scores_top, 6)
-            order = np.lexsort((docs_top, -rs))[: self.topk]
-            sel = docs_top[order]
-            sel_s = rs[order]
+            sel, sel_s = _rounded_topk(docs_top, scores_top, self.topk)
             rank_of = {
                 int(d): (i + 1, float(s))
                 for i, (d, s) in enumerate(zip(sel.tolist(), sel_s.tolist()))
@@ -2519,30 +2233,6 @@ def explain_topk(
 # must_not ranked retrieval ("-term" exclusion) and routed search
 # ---------------------------------------------------------------------------
 
-class _ExcludedView:
-    """Complement of :class:`_FilteredView`: every posting list is masked
-    AGAINST a sorted excluded doc-id set (membership via searchsorted).
-    Global stats (N, avgdl, df) stay untouched, so a surviving doc's score
-    is bit-identical to its unrestricted score — the ES ``bool`` contract
-    where ``must_not`` filters candidates without changing scoring."""
-
-    def __init__(self, view, excluded_sorted: np.ndarray):
-        self._view = view
-        self._excluded = excluded_sorted
-
-    def __getattr__(self, name):
-        return getattr(self._view, name)
-
-    def term_postings(self, term: str):
-        docs, tfs, dls, df = self._view.term_postings(term)
-        if not len(docs) or not len(self._excluded):
-            return docs, tfs, dls, df
-        pos = np.searchsorted(self._excluded, docs)
-        pos_c = np.minimum(pos, len(self._excluded) - 1)
-        keep = self._excluded[pos_c] != docs
-        return docs[keep], tfs[keep], dls[keep], df
-
-
 def parse_negated_query(qtext: str) -> tuple[str, str]:
     """Split a query with Lucene-style ``-term`` exclusions into
     (positive_text, negated_text). A lone ``-`` is ignored; everything after
@@ -2572,37 +2262,19 @@ class NegatedQueryExecutor(QueryExecutor):
         if mode == "wand":
             raise ValueError("negated search supports taat/maxscore modes")
         super().__init__(index_dir, topk=topk, mode=mode)
-        self._base_view = self.view
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return super().__call__(batch)
-        out = []
-        qids = batch.column("query_id").to_pylist()
-        qtexts = batch.column("query").to_pylist()
-        for i, (qid, qtext) in enumerate(zip(qids, qtexts)):
-            pos_text, neg_text = parse_negated_query(qtext)
-            neg_terms = sorted(set(self.tokenizer.tokens(neg_text)))
-            excl_parts = [
-                d for t in neg_terms
-                for d in (self._base_view.term_postings(t)[0],) if len(d)
-            ]
-            self.view = (
-                _ExcludedView(self._base_view, np.unique(np.concatenate(excl_parts)))
-                if excl_parts
-                else self._base_view
-            )
-            try:
-                sub = pa.table(
-                    {
-                        "query_id": pa.array([qid], type=pa.int64()),
-                        "query": pa.array([pos_text], type=pa.string()),
-                    }
-                )
-                out.append(super().__call__(sub))
-            finally:
-                self.view = self._base_view
-        return pa.concat_tables(out)
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        pos_text, neg_text = parse_negated_query(row["query"])
+        excl = [
+            d for t in self._terms(neg_text)
+            for d in (self.view.term_postings(t)[0],) if len(d)
+        ]
+        view = (
+            _MaskedView(self.view, np.unique(np.concatenate(excl)), keep=False)
+            if excl
+            else self.view
+        )
+        return self._score(self._terms(pos_text), self.topk, view)
 
 
 def search_topk_negated(
@@ -2622,7 +2294,7 @@ def search_topk_negated(
     )
 
 
-class RoutedQueryExecutor:
+class RoutedQueryExecutor(QueryExecutor):
     """Query stage for ROUTED search: each query carries a routing key
     that selects exactly ONE member index (the per-tenant / per-shard-group
     layout). Unlike :func:`search_topk_filtered` (global index, global
@@ -2636,7 +2308,7 @@ class RoutedQueryExecutor:
     worker's cached view of that member (``open_view``): a batch opens only
     the members it routes to. Queries with a routing key that has no member
     produce no rows (documented; raising would poison a whole batch of
-    otherwise-valid queries)."""
+    otherwise-valid queries). Rows come out in input order."""
 
     def __init__(self, members: dict[str, str], topk: int = 10, mode: str = "maxscore"):
         self.members = dict(members)
@@ -2644,34 +2316,16 @@ class RoutedQueryExecutor:
         self.mode = mode
         self._execs: dict[str, QueryExecutor] = {}
 
-    def _exec_for(self, route: str) -> QueryExecutor:
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        route = row["route"]
+        if route not in self.members:
+            return no_hits()
         ex = self._execs.get(route)
         if ex is None:
-            view = open_view(self.members[route])
-            ex = QueryExecutor(view, topk=self.topk, mode=self.mode)
-            self._execs[route] = ex
-        return ex
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        by_route: dict[str, list[int]] = {}
-        for i, r in enumerate(batch.column("route").to_pylist()):
-            by_route.setdefault(r, []).append(i)
-        out = []
-        for route in sorted(by_route):
-            if route not in self.members:
-                continue
-            sub = batch.take(pa.array(by_route[route])).select(["query_id", "query"])
-            out.append(self._exec_for(route)(sub))
-        if not out:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "rank": pa.array([], type=pa.int64()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "score": pa.array([], type=pa.float64()),
-                }
+            ex = self._execs[route] = QueryExecutor(
+                open_view(self.members[route]), topk=self.topk, mode=self.mode
             )
-        return pa.concat_tables(out)
+        return ex.rank(row)
 
 
 def search_topk_routed(
@@ -2713,51 +2367,9 @@ class WeightedTermExecutor(QueryExecutor):
     > 0: the dense accumulator treats score 0 as unscored, exactly like the
     base scorer treats absent postings."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qids = batch.column("query_id").to_pylist()
-        terms_col = batch.column("terms").to_pylist()
-        weights_col = batch.column("weights").to_pylist()
-        self._wmap: dict[str, float] | None = None
-        for qid, terms, ws in zip(qids, terms_col, weights_col):
-            self._wmap = {t: float(w) for t, w in zip(terms, ws)}
-            try:
-                docs, scores = self._score_taat(sorted(self._wmap), self.topk)
-            finally:
-                self._wmap = None
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
-
-    def _term_contribs(self, terms):
-        from distributed_text_search_ray.functions import bm25 as _bm25
-
-        v = self.view
-        cfg = v.cfg
-        all_docs, all_contrib = [], []
-        for term in terms:
-            docs, tfs, dls, df = v.term_postings(term)
-            if df == 0 or not len(docs):
-                continue
-            wt = self._wmap[term] if self._wmap else 1.0
-            # association mirrors the SQL twin exactly: w * (idf * tf_part)
-            contrib = wt * (
-                _bm25.idf(v.N, df)
-                * _bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
-            )
-            all_docs.append(docs)
-            all_contrib.append(contrib)
-        return all_docs, all_contrib
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        weights = {t: float(w) for t, w in zip(row["terms"], row["weights"])}
+        return self._score_taat(sorted(weights), self.topk, weights)
 
 
 def rm3_topk(
@@ -2862,16 +2474,7 @@ def rm3_topk(
             }
         )
     if not expanded:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "query_id": pa.array([], type=pa.int64()),
-                    "rank": pa.array([], type=pa.int64()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "score": pa.array([], type=pa.float64()),
-                }
-            )
-        )
+        return ray.data.from_arrow(TOPK_SCHEMA.empty_table())
     return index_stage(
         expanded, WeightedTermExecutor, index_dir, concurrency=concurrency, topk=topk,
     )

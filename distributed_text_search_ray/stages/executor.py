@@ -354,10 +354,45 @@ def open_view(index_path: str) -> IndexView:
     return view
 
 
-def as_view(index) -> IndexView:
-    """``index`` itself when it is an open view, else a fresh view of the
-    path."""
-    return index if isinstance(index, IndexView) else IndexView(index)
+def as_view(index):
+    """A fresh view of ``index`` when it is a path, else ``index`` itself (an
+    open view or a view-like proxy)."""
+    return IndexView(index) if isinstance(index, (str, os.PathLike)) else index
+
+
+def no_hits() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+
+
+def segment_sum(
+    doc_chunks: list[np.ndarray], contrib_chunks: list[np.ndarray], counts: bool = False
+):
+    """Per-doc sums of concatenated (doc id, contribution) chunks: (sorted
+    unique doc ids, float64 sums[, rows per doc]).
+
+    One stable argsort + segmented reduce (cheaper than np.unique with
+    return_inverse, which sorts twice). The stable sort keeps a doc's rows in
+    chunk order, and bincount is a strictly sequential accumulate (reduceat
+    is pairwise and can differ in the last ulp), so the float64 addition
+    order per doc is the chunk order — ascending term order for the TAAT
+    scorers, bit-identical to the oracle."""
+    if not doc_chunks:
+        docs, sums = no_hits()
+        return (docs, sums, docs.copy()) if counts else (docs, sums)
+    docs = np.concatenate(doc_chunks)
+    order = np.argsort(docs, kind="stable")
+    sdocs = docs[order]
+    is_start = np.empty(len(sdocs), dtype=bool)
+    is_start[0] = True
+    np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
+    seg_ids = np.cumsum(is_start) - 1
+    uniq = sdocs[is_start]
+    sums = np.bincount(
+        seg_ids, weights=np.concatenate(contrib_chunks)[order], minlength=len(uniq)
+    )
+    if counts:
+        return uniq, sums, np.bincount(seg_ids, minlength=len(uniq))
+    return uniq, sums
 
 
 def _topk_rows(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +411,15 @@ def _topk_rows(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndar
 
 class QueryExecutor:
     """Query stage: batches of ``(query_id, query)`` -> top-k rows.
-    ``index_dir`` is a path or an open ``IndexView``."""
+    ``index_dir`` is a path or an open ``IndexView``.
+
+    ``__call__`` is the one batch loop of every ranked executor: it asks
+    ``rank(row)`` for each input row's ranked ``(doc_ids, scores)`` and
+    emits them as one ``TOPK_SCHEMA`` table (``ID_COLUMN`` names the id
+    column). Subclasses change what a row means by overriding ``rank``, or
+    the scoring function by overriding ``_score``."""
+
+    ID_COLUMN = "query_id"
 
     def __init__(
         self,
@@ -392,48 +435,48 @@ class QueryExecutor:
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        qids = batch.column("query_id").to_pylist()
-        qtexts = batch.column("query").to_pylist()
-        ks = (
-            batch.column("topk").to_pylist()
-            if "topk" in batch.column_names
-            else [self.topk] * len(qids)
-        )
-        for qid, qtext, k in zip(qids, qtexts, ks):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            if self.min_should_match > 1:
-                # msm filtering needs per-doc match counts — TAAT only
-                docs, scores = self._score_taat_msm(
-                    terms, k, self.min_should_match
-                )
-            elif self.mode == "wand":
-                docs, scores = self._score_wand(terms, k)
-            elif self.mode == "maxscore":
-                docs, scores = self._score_maxscore(terms, k)
-            else:
-                docs, scores = self._score_taat(terms, k)
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
+        ranked = [self.rank(row) for row in batch.to_pylist()]
+        n = np.array([len(d) for d, _ in ranked], dtype=np.int64)
+        first = np.repeat(np.cumsum(n) - n, n)
+        docs, scores = zip(no_hits(), *ranked)
         return pa.table(
             {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
+                self.ID_COLUMN: pa.array(
+                    np.repeat(batch.column(self.ID_COLUMN).to_numpy(), n), pa.int64()
+                ),
+                "rank": pa.array(np.arange(1, len(first) + 1) - first, pa.int64()),
+                "doc_id": pa.array(np.concatenate(docs), pa.int64()),
+                "score": pa.array(np.concatenate(scores), pa.float64()),
             }
         )
 
+    def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
+        """One input row's ranked (doc_ids, scores)."""
+        return self._score(self._terms(row["query"]), self.topk)
+
+    def _terms(self, text: str) -> list[str]:
+        return sorted(set(self.tokenizer.tokens(text)))
+
+    def _score(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k of the OR of ``terms`` under the executor's mode, over
+        ``view`` (default: the executor's own)."""
+        if self.min_should_match > 1:
+            # msm filtering needs per-doc match counts — TAAT only
+            return self._score_taat_msm(terms, k, view)
+        if self.mode == "wand":
+            return self._score_wand(terms, k)
+        if self.mode == "maxscore":
+            return self._score_maxscore(terms, k, view)
+        return self._score_taat(terms, k, view=view)
+
     # ---- term-at-a-time (vectorized, deterministic accumulation order) ----
     def _term_contribs(
-        self, terms: list[str]
+        self, terms: list[str], weights: dict[str, float] | None = None, view=None
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-term (posting doc ids, BM25 contributions) in the caller's
-        (ascending) term order — the shared head of every TAAT variant."""
-        v = self.view
+        (ascending) term order — the shared head of every TAAT variant.
+        ``weights`` scales each term's contributions: ``w * (idf * tf_part)``."""
+        v = self.view if view is None else view
         cfg = v.cfg
         all_docs, all_contrib = [], []
         for term in terms:
@@ -443,15 +486,18 @@ class QueryExecutor:
                 continue
             w = bm25.idf(v.N, df)
             contrib = w * bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
+            if weights is not None:
+                contrib = weights[term] * contrib
             all_docs.append(docs)
             all_contrib.append(contrib)
         return all_docs, all_contrib
 
-    def _score_taat(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-        all_docs, all_contrib = self._term_contribs(terms)
+    def _score_taat(
+        self, terms: list[str], k: int, weights: dict[str, float] | None = None, view=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        all_docs, all_contrib = self._term_contribs(terms, weights, view)
         if not all_docs:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
+            return no_hits()
         buf = self._dense_buffer()
         if buf is not None:
             # dense doc-id space: accumulate straight into a reusable float64
@@ -464,53 +510,17 @@ class QueryExecutor:
             for docs in all_docs:  # reset only the touched slots
                 buf[docs] = 0.0
             return out
-        docs = np.concatenate(all_docs)
-        contrib = np.concatenate(all_contrib)
-        # one stable argsort + segmented reduce (cheaper than np.unique with
-        # return_inverse, which sorts twice). Stable sort keeps equal doc ids
-        # in concatenation order = ascending term order, and reduceat adds
-        # left-to-right within each segment -> float64 accumulation order is
-        # bit-identical to the oracle.
-        order = np.argsort(docs, kind="stable")
-        sdocs = docs[order]
-        scontrib = contrib[order]
-        is_start = np.empty(len(sdocs), dtype=bool)
-        is_start[0] = True
-        np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        uniq = sdocs[starts]
-        # bincount is a strictly sequential accumulate over the input array
-        # (reduceat is pairwise and can differ in the last ulp)
-        seg_ids = np.cumsum(is_start) - 1
-        scores = np.bincount(seg_ids, weights=scontrib, minlength=len(starts))
-        return _topk_rows(uniq, scores, k)
+        return _topk_rows(*segment_sum(all_docs, all_contrib), k)
 
-    def _score_taat_msm(
-        self, terms: list[str], k: int, min_match: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """minimum_should_match TAAT: only docs containing >= ``min_match``
-        DISTINCT query terms are scored (each term posts at most one row per
-        doc, so a doc's segment length IS its distinct-match count). Same
-        accumulation order as ``_score_taat`` — scores of surviving docs are
-        bit-identical to the unfiltered scorer's."""
-        all_docs, all_contrib = self._term_contribs(terms)
-        if not all_docs:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
-        docs = np.concatenate(all_docs)
-        contrib = np.concatenate(all_contrib)
-        order = np.argsort(docs, kind="stable")
-        sdocs = docs[order]
-        scontrib = contrib[order]
-        is_start = np.empty(len(sdocs), dtype=bool)
-        is_start[0] = True
-        np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        uniq = sdocs[starts]
-        seg_ids = np.cumsum(is_start) - 1
-        scores = np.bincount(seg_ids, weights=scontrib, minlength=len(starts))
-        counts = np.bincount(seg_ids, minlength=len(starts))
-        keep = counts >= min_match
+    def _score_taat_msm(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
+        """minimum_should_match TAAT: only docs containing >=
+        ``min_should_match`` DISTINCT query terms are scored (each term posts
+        at most one row per doc, so a doc's segment length IS its
+        distinct-match count). Same accumulation order as ``_score_taat`` —
+        scores of surviving docs are bit-identical to the unfiltered
+        scorer's."""
+        uniq, scores, counts = segment_sum(*self._term_contribs(terms, view=view), counts=True)
+        keep = counts >= self.min_should_match
         return _topk_rows(uniq[keep], scores[keep], k)
 
     def _dense_buffer(self) -> np.ndarray | None:
@@ -538,7 +548,7 @@ class QueryExecutor:
         return cand[order], scores[order]
 
     # ---- MaxScore: rank-safe candidate pruning, fully vectorized ----
-    def _score_maxscore(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _score_maxscore(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-k with MaxScore-style pruning.
 
         Terms are split into essential / non-essential by upper bound: with a
@@ -551,21 +561,10 @@ class QueryExecutor:
         Wins when a query mixes rare terms with Zipf-head terms; falls back to
         plain TAAT when every term is essential.
         """
-        v = self.view
-        cfg = v.cfg
-        posts = []
-        for term in terms:  # ascending order (determinism contract)
-            docs, tfs, dls, df = v.term_postings(term)
-            if df == 0 or not len(docs):
-                # df is GLOBAL: a filtered view can return empty postings
-                # for a term that exists corpus-wide
-                continue
-            w = bm25.idf(v.N, df)
-            contrib = w * bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
-            posts.append((docs, contrib, float(contrib.max())))
+        # ascending term order (determinism contract)
+        posts = [(d, c, float(c.max())) for d, c in zip(*self._term_contribs(terms, view=view))]
         if not posts:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
+            return no_hits()
         # lower bound on the kth best final score: kth largest per-doc best
         # single-term contribution (final score >= any single contribution)
         best: dict[int, float] = {}
@@ -600,19 +599,9 @@ class QueryExecutor:
             np.add(scores, np.where(hit, contrib[pos_c], 0.0), out=scores)
         return _topk_rows(cand, scores, k)
 
-    def _taat_accumulate(self, posts, k: int) -> tuple[np.ndarray, np.ndarray]:
-        docs = np.concatenate([p[0] for p in posts])
-        contrib = np.concatenate([p[1] for p in posts])
-        order = np.argsort(docs, kind="stable")
-        sdocs = docs[order]
-        scontrib = contrib[order]
-        is_start = np.empty(len(sdocs), dtype=bool)
-        is_start[0] = True
-        np.not_equal(sdocs[1:], sdocs[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        seg_ids = np.cumsum(is_start) - 1
-        scores = np.bincount(seg_ids, weights=scontrib, minlength=len(starts))
-        return _topk_rows(sdocs[starts], scores, k)
+    @staticmethod
+    def _taat_accumulate(posts, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return _topk_rows(*segment_sum([p[0] for p in posts], [p[1] for p in posts]), k)
 
     # ---- block-max pruned mode: decode-skipping Block-Max MaxScore ----
     def _score_wand(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -662,8 +651,7 @@ class QueryExecutor:
                 {"term": term, "w": bm25.idf(v.N, df), "metas": metas, "ub": ub}
             )
         if not infos:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
+            return no_hits()
 
         def full(i):
             docs, tfs, dls, _df = v.term_postings(infos[i]["term"])
@@ -813,11 +801,7 @@ class FederatedQueryExecutor(QueryExecutor):
                 "wand needs per-index block metadata rebased to global "
                 "stats; use mode='taat' or 'maxscore' for federated search"
             )
-        self.view = FederatedIndexView(list(index_dirs))
-        self.topk = topk
-        self.mode = mode
-        self.min_should_match = int(min_should_match)
-        self.tokenizer = Tokenizer(self.view.cfg.analyzer)
+        super().__init__(FederatedIndexView(list(index_dirs)), topk, mode, min_should_match)
 
 
 class QLTopkExecutor(QueryExecutor):
@@ -843,7 +827,7 @@ class QLTopkExecutor(QueryExecutor):
         self.mu = float(mu)
         self.total_tokens = float(self.view.meta["total_tokens"])
 
-    def _score_ql(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _score(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
         v = self.view
         per_term = []
         for term in terms:
@@ -853,8 +837,7 @@ class QLTopkExecutor(QueryExecutor):
             cf = float(tfs.sum())
             per_term.append((docs, tfs, dls, cf))
         if not per_term:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.astype(np.float64)
+            return no_hits()
         # candidate union + per-candidate dl (every posting row carries its
         # doc's dl, so the union needs no extra doc-length lookup)
         cat_docs = np.concatenate([p[0] for p in per_term])
@@ -869,24 +852,3 @@ class QLTopkExecutor(QueryExecutor):
             tf_u[np.searchsorted(uniq, docs)] = tfs
             acc += np.log((tf_u + prior) / denom)
         return _topk_rows(uniq, acc, k)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        for qid, qtext in zip(
-            batch.column("query_id").to_pylist(), batch.column("query").to_pylist()
-        ):
-            terms = sorted(set(self.tokenizer.tokens(qtext)))
-            docs, scores = self._score_ql(terms, self.topk)
-            for r, (d, s) in enumerate(zip(docs.tolist(), scores.tolist()), start=1):
-                out_q.append(qid)
-                out_r.append(r)
-                out_d.append(d)
-                out_s.append(s)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )

@@ -5,8 +5,8 @@ is a read-only index, which a worker process opens once per index generation
 and keeps (``executor.open_view``), so the stage runs as plain Ray tasks and
 no actor pool starts per call. Each task builds its executor once, on its
 first batch, around the worker's view(s) of the generation current at that
-moment. Stages whose state is a model, a compiled query set or a writer keep
-their actor pools (``util.resolve_concurrency``).
+moment. Stages whose state is a model or a writer keep their actor pools
+(``util.resolve_concurrency``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def index_stage(
     ``index``: an index path or alias, or a list or dict of them; the
     executor receives the open view(s) in its place. ``None``: the stage
     runs ``executor(**kwargs)``, which opens the views it needs itself
-    (``open_view``) — e.g. only the members a batch routes to. ``rows``: a Dataset,
+    (``open_view``) — e.g. only the members a batch routes to — or reads
+    no index at all (``boolquery.percolate``). ``rows``: a Dataset,
     kept as it is, or a list of row dicts (see :func:`_row_blocks`).
     ``concurrency`` caps the tasks running at once (default: one per CPU).
     """

@@ -16,9 +16,10 @@ import shutil
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+import ray.data
 
 from distributed_text_search_ray.config import IndexConfig
-from distributed_text_search_ray.pipelines.boolquery import boolean_search
+from distributed_text_search_ray.pipelines.boolquery import boolean_search, percolate
 from distributed_text_search_ray.pipelines.build import build_index, delete_docs
 from distributed_text_search_ray.pipelines.phrase import phrase_search_positional
 from distributed_text_search_ray.pipelines.search import (
@@ -183,8 +184,14 @@ def _operators(ds) -> list[str]:
         lambda idx: fuzzy_term_search(idx, [(0, "dat", 1)]),
         lambda idx: boolean_search(idx, [(0, "def AND data")]),
         lambda idx: phrase_search_positional(idx, [(0, "def data")]),
+        lambda idx: percolate(
+            ray.data.from_items([{"doc_id": 0, "content": "def data"}]), [(0, "def")]
+        ),
     ],
-    ids=["search_topk", "fuzzy_term_search", "boolean_search", "phrase_search_positional"],
+    ids=[
+        "search_topk", "fuzzy_term_search", "boolean_search", "phrase_search_positional",
+        "percolate",
+    ],
 )
 def test_index_query_stages_run_as_tasks(index, plan):
     ops = _operators(plan(index))

@@ -2,7 +2,7 @@
 
 The reference's correctness story (seeded randomized differential testing
 against the sequential oracle, src/test_generation.py:164-179) applied to the
-new engine: build the index with Ray, answer queries with the actor-pool
+new engine: build the index with Ray, answer queries with the task-stage
 executors, assert rank- AND score-identical (bit-exact float64) results.
 """
 

@@ -2,7 +2,7 @@
 
 Same differential strategy as the BM25 suite (reference
 src/test_generation.py:164-179 applied to the new scorer): build the index
-with Ray, score with the QLTopkExecutor actor pool, assert rank- and
+with Ray, score with the QLTopkExecutor task stage, assert rank- and
 score-identical (bit-exact float64) results against an independent scalar
 re-derivation.
 """
