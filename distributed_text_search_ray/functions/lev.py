@@ -150,11 +150,12 @@ def windowed_match_counts_multi(
 
     ``owned``/``tails`` support halo'd document SEGMENTS (the reference's
     neighbor-overlap trick, ``src/flexible_mpi.c:196-197``): ``owned[i]``
-    caps the counted full-window start positions of ``texts[i]`` (the extra
+    caps the counted window start positions of ``texts[i]`` (the extra
     suffix chars are halo, owned by the next segment); ``tails[i]`` says
-    whether the truncated tail windows at the segment's end belong to it
-    (True only for a document's final segment). Defaults reproduce the plain
-    whole-document semantics.
+    whether ``texts[i]`` runs to its document's end, so that its last
+    positions are truncated tail windows (a segment before a final one
+    shorter than the halo reaches the end too). Defaults reproduce the
+    plain whole-document semantics.
     """
     out: dict[int, int] = {}
     groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
@@ -170,11 +171,12 @@ def windowed_match_counts_multi(
     keep = [i for i, t in enumerate(texts) if len(t) > 0]
     arrs = [codepoints(texts[i]) for i in keep]
     own = [owned[i] for i in keep]
-    tail_texts = [texts[i] for i in keep if tails[i]]
     lens = np.fromiter((a.size for a in arrs), dtype=np.int64, count=len(arrs))
     T = np.concatenate(arrs) if arrs else np.empty(0, np.uint32)
-    ends = np.cumsum(lens) if len(arrs) else np.empty(0, np.int64)
-    starts = ends - lens if len(arrs) else np.empty(0, np.int64)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    tail = np.array([tails[i] for i in keep], dtype=bool)
+    own_arr = np.array(own, dtype=np.int64)
     for (m, k), group in groups.items():
         Pmat = np.stack([codepoints(p) for _, p in group])
         counts = np.zeros(len(group), dtype=np.int64)
@@ -197,9 +199,10 @@ def windowed_match_counts_multi(
                     np.ascontiguousarray(wins_all[s:e]), Pmat, k
                 )
                 counts += ((d <= k) & v[None, :]).sum(axis=1)
-        # truncated tails, per pattern (tail windows are few)
+        # truncated tails: one window matrix per group, one pass per pattern
+        tail_wins = _tail_windows(T, starts[tail], ends[tail], own_arr[tail], m, k)
         for gi, (qid, pat) in enumerate(group):
-            c = int(counts[gi]) + _tail_counts(tail_texts, Pmat[gi], m, k)
+            c = int(counts[gi]) + _tail_matches(tail_wins, Pmat[gi], k)
             out[qid] = out.get(qid, 0) + c
     return out
 
@@ -246,40 +249,39 @@ def _banded_diag_pass(
     return np.minimum(out, k + 1)
 
 
-def _tail_counts(texts: list[str], P: np.ndarray, pattern_len: int, k: int) -> int:
-    """Vectorized truncated-tail positions (size = N - j < m) across docs."""
-    m = pattern_len
-    rows = []
-    sizes = []
-    for t in texts:
-        n = len(t)
-        if n == 0:
-            continue
-        a = codepoints(t)
-        for j in range(max(0, n - m + 1), n):
-            size = n - j
-            if size >= m:
-                continue
-            rows.append((a, j))
-            sizes.append(size)
-    if not rows:
-        return 0
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    # k >= size always matches (lev of two length-s strings <= s <= k)
-    always = sizes_arr <= k
-    todo = np.flatnonzero(~always)
-    count = int(always.sum())
-    if todo.size == 0:
-        return count
-    wins = np.zeros((todo.size, m), dtype=np.uint32)
-    wins.fill(0xFFFFFFFF)  # sentinel pad never equals a real codepoint
-    for out_i, i in enumerate(todo.tolist()):
-        a, j = rows[i]
-        seg = a[j:]
-        wins[out_i, : seg.size] = seg
-    dists = _banded_diag_pass(wins, P, k, sizes_arr[todo])
-    count += int((dists <= k).sum())
-    return count
+def _tail_windows(
+    T: np.ndarray, starts: np.ndarray, ends: np.ndarray, owned: np.ndarray, m: int, k: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Truncated-tail positions (size = end - j < m) of the documents
+    ``T[starts[i]:ends[i]]`` of the concatenated codepoints ``T``, among each
+    one's first ``owned[i]`` positions, built with no per-position loop:
+    ``(windows, sizes, certain)``. A position of size <= k always matches
+    (lev of two length-s strings is <= s <= k), so only ``certain`` counts
+    those; the others come as rows of ``windows``, ``m`` codepoints wide, of
+    which :func:`_banded_diag_pass` reads only the first ``size``."""
+    n_tail = np.minimum(ends - starts, m - 1)  # sizes 1..n_tail per doc
+    lo = np.maximum(ends - starts - owned, 0) + 1  # smallest owned size
+    certain = int(np.maximum(np.minimum(n_tail, k) - lo + 1, 0).sum())
+    lo = np.maximum(lo, k + 1)
+    n_todo = np.maximum(n_tail - lo + 1, 0)  # sizes lo..n_tail
+    total = int(n_todo.sum())
+    if total == 0:
+        return np.empty((0, m), np.uint32), np.empty(0, np.int64), certain
+    first_row = np.cumsum(n_todo) - n_todo
+    sizes = np.repeat(lo, n_todo) + np.arange(total) - np.repeat(first_row, n_todo)
+    first = np.repeat(ends, n_todo) - sizes
+    # columns >= a row's size are never read; clip them into T
+    wins = T[np.minimum(first[:, None] + np.arange(m), T.size - 1)]
+    return wins, sizes, certain
+
+
+def _tail_matches(tail_wins: tuple[np.ndarray, np.ndarray, int], P: np.ndarray, k: int) -> int:
+    """Matching truncated-tail positions of pattern ``P`` among
+    :func:`_tail_windows`' output."""
+    wins, sizes, certain = tail_wins
+    if not len(sizes):
+        return certain
+    return certain + int((_banded_diag_pass(wins, P, k, sizes) <= k).sum())
 
 
 def windowed_match_count(text: str, pattern: str, k: int) -> int:
@@ -300,7 +302,8 @@ def windowed_match_count(text: str, pattern: str, k: int) -> int:
             dists = _banded_window_pass(np.ascontiguousarray(wins), P, k)
             count += int((dists <= k).sum())
     # Tail positions: size = N - j < m; BOTH strings truncated to size.
-    count += _tail_counts([text], P, m, k)
+    ends = np.array([N], dtype=np.int64)
+    count += _tail_matches(_tail_windows(T, ends - N, ends, ends, m, k), P, k)
     return count
 
 
@@ -312,8 +315,8 @@ def windowed_match_count_many(texts: list[str], pattern: str, k: int) -> int:
     pure Python overhead on short documents. Here all documents' full windows
     run as one vector (windows crossing document boundaries are computed but
     masked out; the waste is m-1 windows per boundary). Truncated tail
-    positions (size < m) fall back to the per-document scalar path, which is
-    O(m^2) per document at most.
+    positions (size < m) run as one diagonal pass over all documents' tail
+    windows.
     """
     m = len(pattern)
     if m == 0 or not texts:
@@ -324,14 +327,14 @@ def windowed_match_count_many(texts: list[str], pattern: str, k: int) -> int:
         return 0
     lens = np.fromiter((len(a) for a in arrs), dtype=np.int64, count=len(arrs))
     T = np.concatenate(arrs)
+    ends = np.cumsum(lens)
+    starts = ends - lens
     N = T.size
     count = 0
     W = N - m + 1
     if W > 0:
         # a window starting at j is valid iff it does not cross a doc
         # boundary: j + m <= end_of_doc(j)
-        ends = np.cumsum(lens)
-        starts = ends - lens
         valid = np.zeros(W, dtype=bool)
         for s, e in zip(starts, ends):
             if e - s >= m:
@@ -345,7 +348,7 @@ def windowed_match_count_many(texts: list[str], pattern: str, k: int) -> int:
             dists = _banded_window_pass(np.ascontiguousarray(wins[s:e]), P, k)
             count += int(((dists <= k) & v).sum())
     # truncated tails per document (vectorized diagonal pass)
-    count += _tail_counts(texts, P, m, k)
+    count += _tail_matches(_tail_windows(T, starts, ends, lens, m, k), P, k)
     return count
 
 

@@ -32,17 +32,20 @@ import ray
 def _scan_tile(
     texts: list[str],
     chunk: list[tuple[int, str, int]],
-    seg: tuple[int, int, int, bool],
+    seg: tuple[int, int, int],
     m_max: int,
 ) -> dict[int, int]:
     """One (pattern-chunk x window-segment) tile. ``seg`` =
-    (doc_idx, start, owned_len, is_final): the slice carries an m_max-1 halo
-    so every owned full window is complete; truncated tail windows count only
-    in the final segment (reference halo rule, src/flexible_mpi.c:196-197)."""
-    di, start, owned_len, is_final = seg
+    (doc_idx, start, owned_len): the slice carries an m_max-1 halo so every
+    owned full window is complete; an owned position counts as a truncated
+    tail window when the slice reaches the document's end (reference halo
+    rule, src/flexible_mpi.c:196-197)."""
+    di, start, owned_len = seg
     t = texts[di]
-    sub = t[start : min(len(t), start + owned_len + m_max - 1)]
-    return windowed_match_counts_multi([sub], chunk, owned=[owned_len], tails=[is_final])
+    stop = start + owned_len + m_max - 1
+    return windowed_match_counts_multi(
+        [t[start:stop]], chunk, owned=[owned_len], tails=[stop >= len(t)]
+    )
 
 
 def _local_result_dataset(tbl: pa.Table) -> ray.data.Dataset:
@@ -59,6 +62,19 @@ def _local_result_dataset(tbl: pa.Table) -> ray.data.Dataset:
         return ray.data.from_blocks([tbl])
     except Exception:  # future Ray versions: fall back to the public path
         return ray.data.from_arrow(tbl)
+
+
+def _in_order(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` materialized with its blocks in dataset order. Ray Data
+    otherwise yields blocks in completion order, which for a lazy read
+    moves the document boundaries of the concatenated corpus from run to
+    run."""
+    opts = ds.context.execution_options
+    saved, opts.preserve_order = opts.preserve_order, True
+    try:
+        return ds.materialize()
+    finally:
+        opts.preserve_order = saved
 
 
 class ApmScan:
@@ -155,16 +171,17 @@ def windowed_match_counts(
 
         from ray.data.dataset import MaterializedDataset
 
-        if isinstance(docs, MaterializedDataset):
-            # executor-free fetch: block refs come straight from the object
-            # store (running a Data pipeline here pays ~0.5s executor
-            # latency right after raw tasks have held the CPU leases)
-            tbl = pa.concat_tables(_ray.get(docs.to_arrow_refs()))
-            texts = tbl.column(text_column).to_pylist()
-        else:
-            texts = [
-                r[text_column] for r in docs.select_columns([text_column]).take_all()
-            ]
+        if not isinstance(docs, MaterializedDataset):
+            docs = _in_order(docs.select_columns([text_column]))
+        # executor-free fetch: block refs come straight from the object
+        # store (running a Data pipeline here pays ~0.5s executor latency
+        # right after raw tasks have held the CPU leases)
+        texts = [
+            t
+            for b in _ray.get(docs.to_arrow_refs())
+            if b.num_rows
+            for t in b.column(text_column).to_pylist()
+        ]
         if concat:
             # reference corpus model: one concatenated buffer, row order;
             # the segment halo below then matches flexible_mpi's rank halos
@@ -182,12 +199,11 @@ def windowed_match_counts(
             ncpu = 8
         m_max = max((len(p) for _, p, _ in pats), default=0)
         seg_chars = 16384
-        segments: list[tuple[int, int, int, bool]] = []
+        segments: list[tuple[int, int, int]] = []
         for di, t in enumerate(texts):
             n = len(t)
             for s in range(0, max(n, 1), seg_chars):
-                e = min(n, s + seg_chars)
-                segments.append((di, s, e - s, e == n))
+                segments.append((di, s, min(n, s + seg_chars) - s))
         if not segments or not pats:  # empty corpus or empty pattern set
             return _local_result_dataset(
                 pa.table(
@@ -197,7 +213,7 @@ def windowed_match_counts(
                     }
                 )
             )
-        max_seg = max(o for _, _, o, _ in segments)
+        max_seg = max(o for _, _, o in segments)
         n_segs = len(segments)
         n_chunks = max(1, ncpu // n_segs) if n_segs < ncpu else 1
         pat_chunk = max(
@@ -258,16 +274,16 @@ def _block_concat_counts(
     text_column: str,
     chunk: list[tuple[int, str, int]],
     halo: str,
-    is_last: bool,
+    reaches_end: bool,
 ) -> dict[int, int]:
-    """Counts of full windows STARTING in this block of the concatenated
-    corpus (halo = the next blocks' head chars, so boundary windows are
-    complete); truncated tails count only in the final block."""
+    """Counts of windows STARTING in this block of the concatenated corpus
+    (halo = the next blocks' head chars, so boundary windows are complete);
+    truncated tails count when block + halo reach the corpus end."""
     texts = tbl.column(text_column).to_pylist()
     own = sum(len(t) for t in texts)
     joined = "".join(texts) + halo
     return windowed_match_counts_multi(
-        [joined], chunk, owned=[own], tails=[is_last]
+        [joined], chunk, owned=[own], tails=[reaches_end]
     )
 
 
@@ -298,7 +314,7 @@ def _concat_streaming(
                 }
             )
         )
-    refs = docs.materialize().to_arrow_refs()  # ordered blocks, no driver pull
+    refs = _in_order(docs).to_arrow_refs()  # ordered blocks, none pulled here
     metas = _ray.get(
         [_block_head.remote(r, text_column, max(m_max - 1, 0)) for r in refs]
     )
@@ -324,9 +340,13 @@ def _concat_streaming(
         n_chunks = max(1, ncpu // len(keep)) if len(keep) < ncpu else 1
         pat_chunk = max(1, -(-len(pats) // n_chunks))
         chunks = [pats[i : i + pat_chunk] for i in range(0, len(pats), pat_chunk)]
+        # chars after each kept block: the halo holds them all when fewer
+        # than m_max, and the block's tail windows then reach the end
+        sizes = np.array([metas[i][0] for i in keep])
+        after = sizes[::-1].cumsum()[::-1] - sizes
         task_refs = [
             _block_concat_counts.remote(
-                refs[i], text_column, c, halos[pos], pos == len(keep) - 1
+                refs[i], text_column, c, halos[pos], after[pos] <= m_max - 1
             )
             for pos, i in enumerate(keep)
             for c in chunks

@@ -40,10 +40,30 @@ from distributed_text_search_ray.stages.index_stage import index_stage
 from distributed_text_search_ray.util import round_half_away
 
 
-def _query_rows(queries) -> list[dict] | ray.data.Dataset:
+def _query_rows(queries) -> pa.Table | ray.data.Dataset:
+    """(query_id, query) pairs as a typed table (a Dataset passes through):
+    typed even when empty, so an empty query list gets typed output."""
     if isinstance(queries, ray.data.Dataset):
         return queries
-    return [{"query_id": int(q[0]), "query": str(q[1])} for q in queries]
+    queries = list(queries)
+    return pa.table(
+        {
+            "query_id": pa.array([int(q[0]) for q in queries], pa.int64()),
+            "query": pa.array([str(q[1]) for q in queries], pa.string()),
+        }
+    )
+
+
+def _pattern_rows(patterns: Iterable[tuple[int, str, int]]) -> pa.Table:
+    """(query_id, pattern, k) triples as a typed table."""
+    patterns = list(patterns)
+    return pa.table(
+        {
+            "query_id": pa.array([int(q) for q, _, _ in patterns], pa.int64()),
+            "pattern": pa.array([str(p) for _, p, _ in patterns], pa.string()),
+            "k": pa.array([int(k) for _, _, k in patterns], pa.int64()),
+        }
+    )
 
 
 def search_topk(
@@ -55,10 +75,16 @@ def search_topk(
 ) -> ray.data.Dataset:
     """Top-k BM25 for each query. Returns (query_id, rank, doc_id, score).
 
-    ``mode``: "maxscore" (default; rank-safe pruned, 2-3x faster on Zipfian
-    corpora), "taat" (exhaustive), "wand" (decode-skipping Block-Max
-    MaxScore over the stored block metadata) — all three produce
-    bit-identical results (tested)."""
+    ``mode`` — all three give bit-identical results (tested):
+
+    - "taat": exhaustive term-at-a-time accumulation of the cached
+      per-term BM25 contributions.
+    - "maxscore" (default): an alias of "taat". MaxScore candidate
+      pruning would skip no decode over cached contributions, only add
+      work.
+    - "wand": decode-skipping Block-Max MaxScore over the stored block
+      metadata; it helps when a query mixes rare terms with a Zipf-head
+      term, whose blocks without a candidate doc stay undecoded."""
     return index_stage(
         _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
         topk=topk, mode=mode,
@@ -96,7 +122,9 @@ def search_topk_federated(
     (N, avgdl, per-term df) are recombined exactly from the members'
     metadata, so results are bit-identical to a single index over the union
     corpus (members' doc-id sets must be disjoint, the merge contract).
-    ``mode``: "maxscore" (default) or "taat"; WAND is merge-only."""
+    ``mode``: "maxscore" (default) or "taat", as in :func:`search_topk`
+    (the same accumulation); WAND needs one index's block metadata, so it
+    is for merged indexes only."""
     from distributed_text_search_ray.stages.executor import FederatedQueryExecutor
 
     return index_stage(
@@ -634,11 +662,9 @@ def fuzzy_term_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Term-level fuzzy stats for (query_id, pattern, k) triples."""
-    items = [
-        {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
-    ]
     return index_stage(
-        items, FuzzyCountExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        _pattern_rows(patterns), FuzzyCountExecutor, index_dir, batch_size=64,
+        concurrency=concurrency,
     )
 
 
@@ -1016,15 +1042,26 @@ class _MaskedView:
     def __getattr__(self, name):
         return getattr(self._view, name)
 
-    def term_postings(self, term: str):
-        docs, tfs, dls, df = self._view.term_postings(term)
+    def _live(self, docs: np.ndarray) -> np.ndarray:
+        """Mask of the ``docs`` the view lets through."""
         if len(self._ids):
             pos = np.minimum(np.searchsorted(self._ids, docs), len(self._ids) - 1)
             hit = self._ids[pos] == docs
         else:
             hit = np.zeros(len(docs), dtype=bool)
-        keep = hit if self._keep else ~hit
+        return hit if self._keep else ~hit
+
+    def term_postings(self, term: str):
+        docs, tfs, dls, df = self._view.term_postings(term)
+        keep = self._live(docs)
         return docs[keep], tfs[keep], dls[keep], df
+
+    def term_contribs(self, term: str):
+        """The base view's cached contributions, masked (left to
+        ``__getattr__``, the unmasked ones would leak through)."""
+        docs, contrib = self._view.term_contribs(term)
+        keep = self._live(docs)
+        return docs[keep], contrib[keep]
 
 
 def _attribute_tables(index_dir: str, attr: str) -> list[pa.Table]:
@@ -1133,12 +1170,9 @@ def fuzzy_search_topk(
     ``transpositions=True`` expands with OSA distance (adjacent swap = one
     edit — the Lucene/Elasticsearch ``fuzziness`` semantics) instead of
     classic Levenshtein: 'sprak' reaches 'spark' at k=1."""
-    items = [
-        {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
-    ]
     return index_stage(
-        items, FuzzyTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
-        topk=topk, transpositions=transpositions,
+        _pattern_rows(patterns), FuzzyTopkExecutor, index_dir, batch_size=64,
+        concurrency=concurrency, topk=topk, transpositions=transpositions,
     )
 
 
@@ -2252,11 +2286,10 @@ class NegatedQueryExecutor(QueryExecutor):
 
     Per query, the excluded doc set is assembled from the INDEX (the union
     of the negated terms' posting doc-ids — no corpus scan), then the
-    positive terms are scored through the standard TAAT/MaxScore kernels
-    over an exclusion-masked view. MaxScore's df-based upper bounds stay
-    valid under masking for the same reason they do in
-    :class:`FilteredQueryExecutor` (global df, fewer postings). A query
-    with no positive terms has no candidates and returns no rows."""
+    positive terms are scored through the standard TAAT kernel over an
+    exclusion-masked view (global df, so surviving docs keep their
+    unrestricted scores). A query with no positive terms has no candidates
+    and returns no rows."""
 
     def __init__(self, index_dir: str, topk: int = 10, mode: str = "maxscore"):
         if mode == "wand":

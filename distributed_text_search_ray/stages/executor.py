@@ -10,17 +10,23 @@ readers, decoded postings and the term dictionary are opened once per worker
 and generation, not once per call. Constructed directly with a path, an
 executor opens a fresh view of its own.
 
-Scoring is exact top-k BM25 over the OR of the query's distinct terms:
+Scoring is exact top-k BM25 over the OR of the query's distinct terms. A
+term's BM25 contributions (``idf * tf_part`` per posting) are computed once
+per index generation and cached (``IndexView.term_contribs``); every mode
+adds them per doc in ascending term order (the oracle's float64 determinism
+contract), so all modes are bit-identical (unit-tested):
 
-- ``taat`` (default): term-at-a-time, fully vectorized — per-term posting
-  decode, contributions accumulated with ``np.unique`` + ``np.bincount``
-  (accumulation order = ascending term order, matching the oracle's float64
-  determinism contract).
+- ``taat`` (executor default): term-at-a-time. On dense doc ids (0..N, as
+  the documents tables number them) contributions accumulate into one
+  reusable float64 array, no sort; sparse 63-bit fingerprint ids fall back
+  to a stable sort and a segmented sum.
+- ``maxscore`` (pipeline default): an alias of ``taat``. MaxScore candidate
+  pruning (Turtle & Flood 1995) pays off only when it skips decode or I/O;
+  over cached contributions it skips neither.
 - ``wand``: Block-Max MaxScore driven by the stored per-block metadata —
   non-essential (Zipf-head) terms decode only the byte-sliced blocks that
-  contain a candidate doc. Rank/score bit-identical to ``taat``
-  (unit-tested); wins when a query mixes rare terms with huge posting
-  lists.
+  contain a candidate doc; wins when a query mixes rare terms with huge
+  posting lists.
 
 Term -> partition routing is pure hash (no shuffle): normal terms live in one
 partition; salted heavy terms are re-assembled from their salt buckets and
@@ -51,10 +57,12 @@ from distributed_text_search_ray.state.generations import generation_key
 from distributed_text_search_ray.state.segment import SegmentReader
 
 # A process keeps up to MAX_GENERATIONS cached views (their segment readers
-# and dictionaries), and all of them together at most MAX_CACHED_POSTINGS
-# decoded postings (~770 MB of int64 doc/tf/dl arrays).
+# and dictionaries), and all of them together at most MAX_CACHED_BYTES of
+# cached postings and BM25 contributions (the int64 doc/tf/dl arrays of 32M
+# postings, ~770 MB; a term that only the scorers read keeps its doc ids and
+# float64 contributions, 16 bytes per posting).
 MAX_GENERATIONS = 4
-MAX_CACHED_POSTINGS = 32_000_000
+MAX_CACHED_BYTES = 32_000_000 * 24
 
 TOPK_SCHEMA = pa.schema(
     [
@@ -123,10 +131,16 @@ class DictionaryExpander:
         return band[dists <= k]
 
 
+def _nbytes(entry: tuple) -> int:
+    return sum(a.nbytes for a in entry if isinstance(a, np.ndarray))
+
+
 class PostingsLRU:
-    """Decoded postings by ``(view token, term)`` (hot query terms recur),
-    bounded by the total number of postings held, not entry count — one
-    Zipf-head term can be huge."""
+    """Per-term arrays of views — decoded postings and BM25 contributions —
+    by ``(view token, kind, term)`` (hot query terms recur), bounded by the
+    bytes of the arrays held (``MAX_CACHED_BYTES``), not entry count — one
+    Zipf-head term can be huge. Cached arrays are read-only: every later
+    query shares them."""
 
     def __init__(self):
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
@@ -138,17 +152,25 @@ class PostingsLRU:
             self._entries.move_to_end(key)
         return hit
 
-    def put(self, key: tuple, postings: tuple) -> None:
-        self._entries[key] = postings
-        self.size += len(postings[0])
-        while self.size > MAX_CACHED_POSTINGS and len(self._entries) > 1:
+    def put(self, key: tuple, entry: tuple) -> None:
+        for a in entry:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        self._entries[key] = entry
+        self.size += _nbytes(entry)
+        while self.size > MAX_CACHED_BYTES and len(self._entries) > 1:
             _, old = self._entries.popitem(last=False)
-            self.size -= len(old[0])
+            self.size -= _nbytes(old)
+
+    def discard(self, key: tuple) -> None:
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.size -= _nbytes(old)
 
     def drop(self, token: object) -> None:
         """Forget every entry of one view."""
         for key in [k for k in self._entries if k[0] is token]:
-            self.size -= len(self._entries.pop(key)[0])
+            self.size -= _nbytes(self._entries.pop(key))
 
 
 class IndexView:
@@ -229,7 +251,7 @@ class IndexView:
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """(doc_ids, tfs, dls, global_df); empty arrays if term unknown."""
-        hit = self._postings.get((self._token, term))
+        hit = self._postings.get((self._token, "postings", term))
         if hit is not None:
             return hit
         chunks = []
@@ -257,8 +279,25 @@ class IndexView:
             live = self.deleted[pos_c] != docs
             docs, tfs, dls = docs[live], tfs[live], dls[live]
         out = (docs, tfs, dls, df)
-        self._postings.put((self._token, term), out)
+        self._postings.put((self._token, "postings", term), out)
         return out
+
+    def term_contribs(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, BM25 contributions) of the term's live postings,
+        computed once per generation and cached; empty arrays if the term
+        has none. The postings they came from stay cached only if something
+        else had cached them first: the scorers never read tfs and dls."""
+        key = (self._token, "bm25", term)
+        hit = self._postings.get(key)
+        if hit is None:
+            pkey = (self._token, "postings", term)
+            had_postings = self._postings.get(pkey) is not None
+            hit = bm25_contribs(self, term)
+            if not had_postings:
+                self._postings.discard(pkey)
+            if len(hit[0]):
+                self._postings.put(key, hit)
+        return hit
 
     def term_positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids, tfs, flat_positions) for a positional (v4) index —
@@ -364,6 +403,20 @@ def no_hits() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
 
+def bm25_contribs(view, term: str) -> tuple[np.ndarray, np.ndarray]:
+    """(posting doc ids, ``idf * tf_part`` per posting) of ``term`` under
+    ``view``'s postings and corpus stats (N, avgdl, global df); empty
+    arrays if the view holds none. df is GLOBAL, so a filtered view can
+    return empty postings for a known term."""
+    docs, tfs, dls, df = view.term_postings(term)
+    if df == 0 or not len(docs):
+        return no_hits()
+    cfg = view.cfg
+    return docs, bm25.idf(view.N, df) * bm25.tf_part(
+        tfs, dls, view.avgdl, cfg.bm25_k1, cfg.bm25_b
+    )
+
+
 def segment_sum(
     doc_chunks: list[np.ndarray], contrib_chunks: list[np.ndarray], counts: bool = False
 ):
@@ -465,8 +518,7 @@ class QueryExecutor:
             return self._score_taat_msm(terms, k, view)
         if self.mode == "wand":
             return self._score_wand(terms, k)
-        if self.mode == "maxscore":
-            return self._score_maxscore(terms, k, view)
+        # "maxscore" (the pipeline default) is an alias of taat
         return self._score_taat(terms, k, view=view)
 
     # ---- term-at-a-time (vectorized, deterministic accumulation order) ----
@@ -477,15 +529,11 @@ class QueryExecutor:
         (ascending) term order — the shared head of every TAAT variant.
         ``weights`` scales each term's contributions: ``w * (idf * tf_part)``."""
         v = self.view if view is None else view
-        cfg = v.cfg
         all_docs, all_contrib = [], []
         for term in terms:
-            docs, tfs, dls, df = v.term_postings(term)
-            if df == 0 or not len(docs):
-                # df is GLOBAL: a filtered view can return empty postings
+            docs, contrib = v.term_contribs(term)
+            if not len(docs):
                 continue
-            w = bm25.idf(v.N, df)
-            contrib = w * bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
             if weights is not None:
                 contrib = weights[term] * contrib
             all_docs.append(docs)
@@ -495,22 +543,28 @@ class QueryExecutor:
     def _score_taat(
         self, terms: list[str], k: int, weights: dict[str, float] | None = None, view=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        all_docs, all_contrib = self._term_contribs(terms, weights, view)
+        return self._accumulate(*self._term_contribs(terms, weights, view), k)
+
+    def _accumulate(
+        self, all_docs: list[np.ndarray], all_contrib: list[np.ndarray], k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact top-k of the per-doc sums of per-term (doc ids,
+        contributions) chunks, added in chunk (ascending term) order."""
         if not all_docs:
             return no_hits()
         buf = self._dense_buffer()
-        if buf is not None:
-            # dense doc-id space: accumulate straight into a reusable float64
-            # array — no sort. Per-doc addition order is still ascending term
-            # order (one fancy-index += per term), bit-identical to the
-            # oracle; BM25 contributions are > 0, so score 0 == unscored.
-            for docs, contrib in zip(all_docs, all_contrib):
-                buf[docs] += contrib
-            out = self._dense_topk(buf, k)
-            for docs in all_docs:  # reset only the touched slots
-                buf[docs] = 0.0
-            return out
-        return _topk_rows(*segment_sum(all_docs, all_contrib), k)
+        if buf is None:
+            return _topk_rows(*segment_sum(all_docs, all_contrib), k)
+        # dense doc-id space: accumulate straight into a reusable float64
+        # array — no sort. Per-doc addition order is still ascending term
+        # order (one fancy-index += per term), bit-identical to the oracle;
+        # BM25 contributions are > 0, so score 0 == unscored.
+        for docs, contrib in zip(all_docs, all_contrib):
+            buf[docs] += contrib
+        out = self._dense_topk(buf, k)
+        for docs in all_docs:  # reset only the touched slots
+            buf[docs] = 0.0
+        return out
 
     def _score_taat_msm(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
         """minimum_should_match TAAT: only docs containing >=
@@ -546,62 +600,6 @@ class QueryExecutor:
         scores = buf[cand]
         order = np.lexsort((cand, -scores))[:k]
         return cand[order], scores[order]
-
-    # ---- MaxScore: rank-safe candidate pruning, fully vectorized ----
-    def _score_maxscore(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-k with MaxScore-style pruning.
-
-        Terms are split into essential / non-essential by upper bound: with a
-        cheap lower bound theta on the kth-best score (kth largest single-term
-        contribution), any suffix of ub-ascending terms whose ub sum is
-        strictly below theta cannot by itself lift a doc into the top-k — so
-        only docs appearing in an essential term's postings are candidates.
-        Full scores are then computed for candidates only (ascending-term
-        gather order keeps float64 accumulation bit-identical to TAAT/oracle).
-        Wins when a query mixes rare terms with Zipf-head terms; falls back to
-        plain TAAT when every term is essential.
-        """
-        # ascending term order (determinism contract)
-        posts = [(d, c, float(c.max())) for d, c in zip(*self._term_contribs(terms, view=view))]
-        if not posts:
-            return no_hits()
-        # lower bound on the kth best final score: kth largest per-doc best
-        # single-term contribution (final score >= any single contribution)
-        best: dict[int, float] = {}
-        for docs, contrib, _ub in posts:
-            kk = min(k, len(contrib))
-            idx = np.argpartition(-contrib, kk - 1)[:kk] if len(contrib) > kk else np.arange(len(contrib))
-            for d, c in zip(docs[idx].tolist(), contrib[idx].tolist()):
-                if c > best.get(d, 0.0):
-                    best[d] = c
-        if len(best) < k:
-            return self._taat_accumulate(posts, k)
-        theta = sorted(best.values(), reverse=True)[k - 1]
-        # maximal ub-ascending suffix with sum < theta -> non-essential
-        order = np.argsort([p[2] for p in posts], kind="stable")
-        acc = 0.0
-        non_essential = set()
-        for i in order:
-            if acc + posts[i][2] < theta:
-                acc += posts[i][2]
-                non_essential.add(i)
-            else:
-                break
-        if not non_essential:
-            return self._taat_accumulate(posts, k)
-        ess_docs = [posts[i][0] for i in range(len(posts)) if i not in non_essential]
-        cand = np.unique(np.concatenate(ess_docs))
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for docs, contrib, _ub in posts:  # ascending term order preserved
-            pos = np.searchsorted(docs, cand)
-            pos_c = np.minimum(pos, len(docs) - 1)
-            hit = docs[pos_c] == cand
-            np.add(scores, np.where(hit, contrib[pos_c], 0.0), out=scores)
-        return _topk_rows(cand, scores, k)
-
-    @staticmethod
-    def _taat_accumulate(posts, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return _topk_rows(*segment_sum([p[0] for p in posts], [p[1] for p in posts]), k)
 
     # ---- block-max pruned mode: decode-skipping Block-Max MaxScore ----
     def _score_wand(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -654,9 +652,7 @@ class QueryExecutor:
             return no_hits()
 
         def full(i):
-            docs, tfs, dls, _df = v.term_postings(infos[i]["term"])
-            contrib = infos[i]["w"] * bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
-            return docs, contrib
+            return v.term_contribs(infos[i]["term"])
 
         ubs = np.array([inf["ub"] for inf in infos], dtype=np.float64)
         order_desc = np.argsort(-ubs, kind="stable")
@@ -687,7 +683,7 @@ class QueryExecutor:
         if not non_essential:
             # every term decoded: straight taat accumulation (term order)
             posts = [decoded[i] for i in range(len(infos))]
-            return self._taat_accumulate(posts, k)
+            return self._accumulate([d for d, _ in posts], [c for _, c in posts], k)
 
         cand = np.unique(np.concatenate([decoded[i][0] for i in decoded]))
         scores = np.zeros(len(cand), dtype=np.float64)
@@ -731,9 +727,10 @@ class FederatedIndexView:
     sum df_i — requiring the members' doc-id sets to be DISJOINT, the same
     contract ``merge_indexes`` documents (merge.py:181).
 
-    Exposes the subset of the IndexView surface the TAAT / MaxScore scorers
-    consume (N, avgdl, cfg, meta, term_postings); Block-Max WAND needs
-    per-index block metadata rebased to global stats and is not offered.
+    Exposes the subset of the IndexView surface the TAAT scorers consume
+    (N, avgdl, cfg, meta, term_postings, term_contribs); Block-Max WAND
+    needs per-index block metadata rebased to global stats and is not
+    offered.
     """
 
     def __init__(self, index_dirs: list, max_cached_parts: int = 64):
@@ -783,11 +780,17 @@ class FederatedIndexView:
             docs, tfs, dls = docs[o], tfs[o], dls[o]
         return docs, tfs, dls, df
 
+    def term_contribs(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """BM25 contributions under the GLOBAL stats — never a member's
+        cached ones, which use that member's N, avgdl and df. Not cached:
+        a federated view lives for one task."""
+        return bm25_contribs(self, term)
+
 
 class FederatedQueryExecutor(QueryExecutor):
     """Query stage scoring each query against SEVERAL indexes as one
     logical corpus (exact global stats via :class:`FederatedIndexView`).
-    Reuses the TAAT / MaxScore machinery unchanged — only the view differs."""
+    Reuses the TAAT machinery unchanged — only the view differs."""
 
     def __init__(
         self,

@@ -30,7 +30,7 @@ def _open(index):
     return [_open(p) for p in index]
 
 
-def _row_blocks(rows: list[dict], batch_size: int) -> ray.data.Dataset:
+def _row_blocks(rows: list[dict] | pa.Table, batch_size: int) -> ray.data.Dataset:
     """``rows`` as ``min(ceil(n / batch_size), cluster CPUs)`` Arrow blocks:
     one task per block, enough blocks to use every CPU and no more (a task
     per tiny block costs scheduling, not work)."""
@@ -40,12 +40,12 @@ def _row_blocks(rows: list[dict], batch_size: int) -> ray.data.Dataset:
     cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
     n_blocks = max(1, min(math.ceil(len(rows) / batch_size), cpus))
     step = math.ceil(len(rows) / n_blocks)
-    table = pa.Table.from_pylist(rows)
+    table = rows if isinstance(rows, pa.Table) else pa.Table.from_pylist(rows)
     return ray.data.from_arrow([table.slice(i, step) for i in range(0, len(rows), step)])
 
 
 def index_stage(
-    rows: list[dict] | ray.data.Dataset,
+    rows: list[dict] | pa.Table | ray.data.Dataset,
     executor,
     index,
     *,
@@ -60,11 +60,12 @@ def index_stage(
     runs ``executor(**kwargs)``, which opens the views it needs itself
     (``open_view``) — e.g. only the members a batch routes to — or reads
     no index at all (``boolquery.percolate``). ``rows``: a Dataset,
-    kept as it is, or a list of row dicts (see :func:`_row_blocks`).
-    ``concurrency`` caps the tasks running at once (default: one per CPU).
+    kept as it is, or a table or list of row dicts (see :func:`_row_blocks`).
+    A table with no rows is answered here, by the executor applied to it:
+    Ray Data never calls a stage on an empty block, so only this gives the
+    output the executor's schema. ``concurrency`` caps the tasks running at
+    once (default: one per CPU).
     """
-    if not isinstance(rows, ray.data.Dataset):
-        rows = _row_blocks(rows, batch_size or 1)
     ex = None
 
     def run(batch: pa.Table) -> pa.Table:
@@ -73,6 +74,10 @@ def index_stage(
             ex = executor(**kwargs) if index is None else executor(_open(index), **kwargs)
         return ex(batch)
 
+    if isinstance(rows, pa.Table) and not rows.num_rows:
+        return ray.data.from_arrow(run(rows))
+    if not isinstance(rows, ray.data.Dataset):
+        rows = _row_blocks(rows, batch_size or 1)
     # Ray Data names the operator after the function
     run.__name__ = run.__qualname__ = executor.__name__
     return rows.map_batches(

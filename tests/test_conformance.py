@@ -154,6 +154,55 @@ def test_concat_streaming_plan_equals_broadcast():
     assert b == s
 
 
+def test_tail_windows_before_a_short_last_segment_count():
+    """Truncated tail windows that start before the last window segment
+    (tiled plan: a doc 2 chars past a segment boundary) or the last block
+    (streaming concat plan: a 2-char last block) still count."""
+    import numpy as np
+    import ray.data
+
+    from distributed_text_search_ray.pipelines import apm
+
+    text = "".join(np.random.default_rng(3).choice(list("AB"), 16384 + 2))
+    pats = [(0, text[-8:], 0), (1, "ABABABAB", 2)]
+    ds = ray.data.from_arrow(pa.table({"content": [text]}))
+    got = {r["query_id"]: r["n_matches"] for r in windowed_match_counts(ds, pats).take_all()}
+    assert got == {q: windowed_match_count(text, p, k) for q, p, k in pats}
+    blocks = ray.data.from_arrow([pa.table({"content": [text]}), pa.table({"content": ["AB"]})])
+    rows = apm._concat_streaming(blocks, pats, "content").take_all()
+    got = {r["query_id"]: r["n_matches"] for r in rows}
+    assert got == {q: windowed_match_count(text + "AB", p, k) for q, p, k in pats}
+
+
+def test_concat_mode_joins_a_lazy_read_in_file_order(tmp_path):
+    """Concat mode over a lazy multi-file read joins the documents in
+    dataset (file, row) order on every run, in both plans — not in the order
+    Ray Data's read tasks happen to finish."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    texts = []
+    for f in range(8):
+        # uneven files, so read tasks finish out of order
+        chunk = [
+            "".join(rng.choice(list("ACGT"), int(rng.integers(50, 400))))
+            for _ in range(1 + 3 * (f % 3))
+        ]
+        ids = pa.array(range(len(texts), len(texts) + len(chunk)), pa.int64())
+        pq.write_table(
+            pa.table({"doc_id": ids, "content": chunk}), str(tmp_path / f"part-{f:02d}.parquet")
+        )
+        texts += chunk
+    joined = "".join(texts)
+    bounds = np.cumsum([len(t) for t in texts])[:-1]
+    pats = [(i, joined[b - 4 : b + 4], i % 2) for i, b in enumerate(bounds[::3])]
+    want = {q: windowed_match_count(joined, p, k) for q, p, k in pats}
+    for plan in ("broadcast", "stream"):
+        for _ in range(5):
+            got = windowed_match_counts(str(tmp_path), pats, concat=True, plan=plan).take_all()
+            assert {r["query_id"]: r["n_matches"] for r in got} == want
+
+
 _KILL_SCRIPT = """
 import sys, os
 sys.path.insert(0, {repo!r})

@@ -251,6 +251,34 @@ def test_windowed_counts_multi_equals_per_pattern(texts, pats):
         assert got[qid] == want, (p, k)
 
 
+@given(
+    st.text(alphabet="ABC", max_size=40),
+    st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+    st.lists(
+        st.tuples(st.text(alphabet="ABC", min_size=1, max_size=6),
+                  st.integers(min_value=0, max_value=3)),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_windowed_counts_multi_over_halo_segments_equals_whole_text(text, cuts, pats):
+    """A text cut into halo'd segments, as the tiled APM plan cuts it
+    (``owned`` window starts each, ``m_max - 1`` halo chars, tail windows
+    wherever the segment reaches the text's end — also before a final
+    segment shorter than the halo), counts exactly what the whole text
+    counts."""
+    patterns = [(i, p, k) for i, (p, k) in enumerate(pats)]
+    m_max = max(len(p) for p, _ in pats)
+    bounds = sorted({min(c, len(text)) for c in np.cumsum(cuts)} | {0, len(text)})
+    spans = list(zip(bounds, bounds[1:])) or [(0, 0)]
+    segs = [text[s : e + m_max - 1] for s, e in spans]
+    owned = [e - s for s, e in spans]
+    tails = [e + m_max - 1 >= len(text) for _, e in spans]
+    got = lev.windowed_match_counts_multi(segs, patterns, owned=owned, tails=tails)
+    for qid, p, k in patterns:
+        assert got[qid] == py_windowed_count(text, p, k), (p, k)
+
+
 def test_segment_format_roundtrip_and_block_decode(tmp_path):
     """v3 segment format property test: random posting lists round-trip at
     edge block sizes, and selective block decode returns exactly the

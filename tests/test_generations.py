@@ -5,9 +5,10 @@ Contract: a task serves the index generation current when it starts — an
 in-place ``delete_docs`` or a ``set_alias`` swap takes effect on the next
 call even in a worker that already has the old generation cached; the cache
 holds a bounded number of generations, an evicted view drops its segment
-readers, and all cached views share one decoded-postings budget; a routed
-batch opens only the members it routes to; index query stages plan as task
-pools, never actor pools.
+readers, and all cached views share one byte budget for decoded postings
+and BM25 contributions (read-only arrays); a routed batch opens only the
+members it routes to; index query stages plan as task pools, never actor
+pools.
 """
 
 import os
@@ -58,7 +59,7 @@ def views():
 
 
 def _cached(view) -> int:
-    """Decoded-postings entries the shared LRU holds for ``view``."""
+    """Postings and contribution entries the shared LRU holds for ``view``."""
     return sum(k[0] is view._token for k in executor._POSTINGS._entries)
 
 
@@ -142,14 +143,35 @@ def test_cache_evicts_oldest_generation_and_drops_its_readers(index, tmp_path, v
 
 def test_cached_views_share_one_postings_budget(index, tmp_path, views, monkeypatch):
     a, b = open_view(_copy(index, tmp_path, "a")), open_view(_copy(index, tmp_path, "b"))
-    n = len(a.term_postings("data")[0])
-    monkeypatch.setattr(executor, "MAX_CACHED_POSTINGS", n + n // 2)
+    n = sum(x.nbytes for x in a.term_postings("data")[:3])
+    monkeypatch.setattr(executor, "MAX_CACHED_BYTES", n + n // 2)
     b.term_postings("data")
     # b's entry pushed a's out: the cap bounds all cached views together
     assert not _cached(a) and _cached(b) and executor._POSTINGS.size == n
     fresh = IndexView(_copy(index, tmp_path, "c"))  # uncached: a budget of its own
     fresh.term_postings("data")
     assert _cached(b) and fresh._postings is not executor._POSTINGS
+
+
+def test_cached_contributions_are_read_only_and_bytes_bound_the_cache(index, tmp_path, monkeypatch):
+    view = IndexView(_copy(index, tmp_path, "v"))
+    docs, contrib = view.term_contribs("data")
+    assert view.term_contribs("data")[1] is contrib  # computed once
+    lru = view._postings
+    # a term only the scorers read keeps its ids and contributions, not tfs/dls
+    assert list(lru._entries) == [(view._token, "bm25", "data")]
+    assert lru.size == 2 * docs.nbytes
+    for arr in (docs, contrib, view.term_postings("data")[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # + postings (ids, tfs, dls), decoded again: 5 arrays
+    assert lru.size == 5 * docs.nbytes
+    monkeypatch.setattr(executor, "MAX_CACHED_BYTES", lru.size)
+    view.term_contribs("def")
+    assert lru.size <= executor.MAX_CACHED_BYTES
+    assert (view._token, "postings", "data") not in lru._entries
+    assert lru.size == sum(executor._nbytes(e) for e in lru._entries.values())
+    assert view.term_contribs("data")[1].tobytes() == contrib.tobytes()
 
 
 def test_routed_search_opens_only_the_routes_a_batch_uses(index, tmp_path, views):

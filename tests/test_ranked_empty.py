@@ -209,3 +209,26 @@ def test_ranked_operators_emit_typed_empty_output(fx, case):
     assert blocks and all(b.num_rows == 0 and b.schema == want for b in blocks)
     out = make(fx)(input_schema.empty_table())
     assert out.num_rows == 0 and out.schema == want
+
+
+FUZZY_INPUT = pa.schema([("query_id", pa.int64()), ("pattern", pa.string()), ("k", pa.int64())])
+EMPTY_LISTS = {
+    "search_topk": (lambda fx: s.search_topk(fx.idx, []), lambda fx: TOPK_SCHEMA),
+    "filtered": (
+        lambda fx: s.search_topk_filtered(fx.idx, [], "lang", "py"),
+        lambda fx: TOPK_SCHEMA,
+    ),
+    "fuzzy_topk": (lambda fx: s.fuzzy_search_topk(fx.idx, []), lambda fx: TOPK_SCHEMA),
+    "fuzzy_term_search": (
+        lambda fx: s.fuzzy_term_search(fx.idx, []),
+        lambda fx: s.FuzzyCountExecutor(fx.idx)(FUZZY_INPUT.empty_table()).schema,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_LISTS))
+def test_empty_query_list_keeps_the_output_schema(fx, case):
+    run, want = EMPTY_LISTS[case]
+    ds = run(fx)
+    assert ds.schema().base_schema == want(fx)
+    assert ds.take_all() == []
