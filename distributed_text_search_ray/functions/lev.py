@@ -21,6 +21,21 @@ Both are vectorized with numpy: the DP loops run over the (small) pattern
 dimensions while every position/term is processed as one vector lane. Strings
 are compared as Unicode codepoints (``utf-32-le`` reinterpret), matching
 Python's and DuckDB's character-based ``levenshtein``.
+
+The APM kernel (:func:`windowed_match_counts_multi`) filters, then verifies
+(the partition filter of Wu & Manber, "Fast text searching allowing errors",
+CACM 1992). Take a pattern P and a full window W, both of length m, with
+lev(P, W) <= k < m. Cut P into k+1 disjoint non-empty pieces
+``[b_i, b_{i+1})``, ``b_i = m*i // (k+1)``. The <= k edits touch at most k
+pieces, so some piece is untouched, and it appears verbatim in W at
+``[b_i+d, b_{i+1}+d)`` for a shift |d| <= k that keeps the span inside
+``[0, m]``. The (pattern, window) pairs with some piece at some allowed shift
+are therefore a superset of the matches, and the banded DP verifies only
+those: the counts are exact by construction. When k >= m every full window
+matches (lev <= m <= k), so no DP runs at all. Truncated tail windows keep
+their own diagonal DP. :func:`windowed_match_count` — the path the oracle and
+the tests' references take — runs the banded DP over every window, with no
+filter.
 """
 
 from __future__ import annotations
@@ -28,6 +43,10 @@ from __future__ import annotations
 import numpy as np
 
 _CHUNK = 1 << 16
+# (pattern, window) lanes x (m + 1) per filter-and-verify text chunk: bounds
+# the filter's (G, chunk) bool lanes and, when every pair is a candidate,
+# the verify DP's gathered windows
+_LANE_BUDGET = 1 << 21
 
 
 def _dp_dtype(k: int, steps: int):
@@ -63,13 +82,15 @@ def levenshtein(a: str, b: str) -> int:
     return prev[lb]
 
 
-def _banded_window_pass(wins: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized banded DP: lev(P, w) capped at k+1 for each window row.
+def _banded_window_pass(wcols: np.ndarray, pcols: np.ndarray, k: int) -> np.ndarray:
+    """Vectorized banded DP: lev(p, w) capped at k+1 for each lane.
 
-    ``wins``: (W, m) codepoints; ``P``: (m,) codepoints. Returns (W,) int32
-    distances (values > k are reported as k+1).
+    ``wcols``: (m, W) codepoints, row y = character y of every lane's window
+    (``sliding_window_view(T, m)[s:e].T`` is such a view, with no copy);
+    ``pcols``: (m,) one pattern for all lanes, or (m, W) one per lane.
+    Returns (W,) int32 distances (values > k are reported as k+1).
     """
-    W, m = wins.shape
+    m, W = wcols.shape
     dt = _dp_dtype(k, m)
     INF = dt(k + 1)
     base = np.minimum(np.arange(m + 1, dtype=np.int64), k + 1).astype(dt)
@@ -82,12 +103,12 @@ def _banded_window_pass(wins: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     for y in range(1, m + 1):
         cur.fill(INF)
         cur[0] = min(y, k + 1)
-        wy = wins[:, y - 1]
+        wy = wcols[y - 1]
         lo = max(1, y - k)
         hi = min(m, y + k)
         for x in range(lo, hi + 1):
             # zero-alloc banded step (see _dp_dtype for the no-cap argument)
-            np.not_equal(P[x - 1], wy, out=nb)
+            np.not_equal(pcols[x - 1], wy, out=nb)
             np.add(prev[x - 1], nb_u8 if dt == np.uint8 else nb, out=t1)
             np.add(prev[x], dt(1), out=t2)
             np.minimum(t1, t2, out=t1)
@@ -98,43 +119,39 @@ def _banded_window_pass(wins: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     return np.minimum(prev[m].astype(np.int32), k + 1)
 
 
-def _banded_window_pass_multi(wins: np.ndarray, Pmat: np.ndarray, k: int) -> np.ndarray:
-    """Multi-pattern banded DP: lev(P_i, w_j) capped at k+1 for every
-    (pattern, window) pair in one pass. ``wins``: (W, m); ``Pmat``: (P, m) —
-    all patterns the same length m. Returns (P, W) int32.
+def _piece_candidates(
+    T: np.ndarray, Pmat: np.ndarray, k: int, s: int, e: int, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pigeonhole filter: the (pattern, window) pairs among windows
+    ``[s, e)`` of ``T`` in which some piece of the pattern occurs verbatim at
+    an allowed shift (module docstring) — a superset of the pairs within
+    distance k < m. ``Pmat``: (G, m) patterns; ``valid``: (W,) full-window
+    mask. Returns (pattern rows, window starts), both int64.
 
-    Per-cell ops process P*W lanes at once, amortizing numpy dispatch over
-    the pattern set (the reference's pattern-heavy scenarios spend their time
-    there)."""
-    W, m = wins.shape
-    P = Pmat.shape[0]
-    dt = _dp_dtype(k, m)
-    INF = dt(k + 1)
-    base = np.minimum(np.arange(m + 1, dtype=np.int64), k + 1).astype(dt)
-    prev = np.broadcast_to(base[:, None, None], (m + 1, P, W)).copy()
-    cur = np.empty_like(prev)
-    Pcol = Pmat.T[:, :, None]  # (m, P, 1)
-    nb = np.empty((P, W), dtype=bool)
-    nb_u8 = nb.view(np.uint8)  # same buffer: keeps the add a pure-uint8 loop
-    t1 = np.empty((P, W), dtype=dt)
-    t2 = np.empty((P, W), dtype=dt)
-    for y in range(1, m + 1):
-        cur.fill(INF)
-        cur[0] = min(y, k + 1)
-        wy = wins[:, y - 1][None, :]  # (1, W)
-        lo = max(1, y - k)
-        hi = min(m, y + k)
-        for x in range(lo, hi + 1):
-            # zero-alloc banded step (see _dp_dtype for the no-cap argument)
-            np.not_equal(Pcol[x - 1], wy, out=nb)
-            np.add(prev[x - 1], nb_u8 if dt == np.uint8 else nb, out=t1)
-            np.add(prev[x], dt(1), out=t2)
-            np.minimum(t1, t2, out=t1)
-            np.add(cur[x - 1], dt(1), out=t2)
-            np.minimum(t1, t2, out=cur[x])
-        prev, cur = cur, prev
-    # re-clamp drifted >k values to the documented k+1 cap
-    return np.minimum(prev[m].astype(np.int32), k + 1)
+    All G patterns are compared at once as (G, n) bool lanes, so the number
+    of numpy calls depends on m and k only, not on G."""
+    G, m = Pmat.shape
+    w = e - s
+    cand = np.zeros((G, w), dtype=bool)
+    occ = np.empty((G, w + 2 * k), dtype=bool)
+    eq = np.empty_like(occ)
+    b = [m * i // (k + 1) for i in range(k + 2)]
+    for lo, hi in zip(b, b[1:]):
+        # shifts d that keep the piece's span [lo+d, hi+d) inside the window;
+        # every text position read is < e - 1 + m <= T.size
+        dmin, dmax = max(-k, -lo), min(k, m - hi)
+        n = w + dmax - dmin
+        p0 = s + lo + dmin
+        hit, tmp = occ[:, :n], eq[:, :n]
+        np.equal(T[None, p0 : p0 + n], Pmat[:, lo, None], out=hit)
+        for t in range(1, hi - lo):
+            np.equal(T[None, p0 + t : p0 + t + n], Pmat[:, lo + t, None], out=tmp)
+            hit &= tmp
+        for off in range(dmax - dmin + 1):
+            cand |= hit[:, off : off + w]
+    cand &= valid[None, s:e]
+    gi, wi = np.divmod(np.flatnonzero(cand), w)  # 2-D nonzero is ~8x slower
+    return gi, wi + s
 
 
 def windowed_match_counts_multi(
@@ -143,10 +160,17 @@ def windowed_match_counts_multi(
     owned: list[int] | None = None,
     tails: list[bool] | None = None,
 ) -> dict[int, int]:
-    """Counts for MANY patterns over many documents, grouping patterns by
-    (length, k) so each group runs one multi-lane banded DP over the shared
-    window matrix. Returns {query_id: count}. Exact same semantics as
-    summing :func:`windowed_match_count` per doc (fuzz-tested).
+    """Counts for MANY patterns over many documents. Returns
+    {query_id: count}, the same as summing :func:`windowed_match_count` per
+    doc (fuzz-tested).
+
+    Patterns are grouped by (length m, k). Per group, the full windows of
+    the concatenated documents (those crossing a document boundary are
+    masked out) go through :func:`_piece_candidates` in text chunks of at
+    most ``_LANE_BUDGET // (G * (m + 1))`` windows, and one banded DP per
+    chunk verifies the candidate (pattern, window) pairs only. When k >= m
+    every full window matches, so the group counts its valid windows with
+    no DP. Truncated tail windows run through :func:`_banded_diag_pass`.
 
     ``owned``/``tails`` support halo'd document SEGMENTS (the reference's
     neighbor-overlap trick, ``src/flexible_mpi.c:196-197``): ``owned[i]``
@@ -178,8 +202,9 @@ def windowed_match_counts_multi(
     tail = np.array([tails[i] for i in keep], dtype=bool)
     own_arr = np.array(own, dtype=np.int64)
     for (m, k), group in groups.items():
+        G = len(group)
         Pmat = np.stack([codepoints(p) for _, p in group])
-        counts = np.zeros(len(group), dtype=np.int64)
+        counts = np.zeros(G, dtype=np.int64)
         W = T.size - m + 1
         if W > 0:
             valid = np.zeros(W, dtype=bool)
@@ -187,18 +212,24 @@ def windowed_match_counts_multi(
                 n_full = min(int(o), int(e - s) - m + 1)
                 if n_full > 0:
                     valid[s : s + n_full] = True
-            wins_all = np.lib.stride_tricks.sliding_window_view(T, m)
-            # chunk so the DP working set stays cache-sized
-            chunk = max(1024, min(_CHUNK, (64 << 20) // max(1, len(group) * (m + 1))))
-            for s in range(0, W, chunk):
-                e = min(W, s + chunk)
-                v = valid[s:e]
-                if not v.any():
-                    continue
-                d = _banded_window_pass_multi(
-                    np.ascontiguousarray(wins_all[s:e]), Pmat, k
-                )
-                counts += ((d <= k) & v[None, :]).sum(axis=1)
+            if k >= m:
+                counts += int(valid.sum())
+            else:
+                PT = np.ascontiguousarray(Pmat.T)  # (m, G): row x = char x
+                chunk = max(1, _LANE_BUDGET // (G * (m + 1)))
+                for s in range(0, W, chunk):
+                    e = min(W, s + chunk)
+                    if not valid[s:e].any():
+                        continue
+                    gi, j = _piece_candidates(T, Pmat, k, s, e, valid)
+                    if gi.size:
+                        wcols = np.empty((m, gi.size), dtype=T.dtype)
+                        for y in range(m):  # row by row: no (m, C) int64 index
+                            np.take(T, j + y, out=wcols[y])
+                        # one pattern: compare lanes against a scalar per cell
+                        pcols = PT[:, gi] if G > 1 else PT[:, 0]
+                        d = _banded_window_pass(wcols, pcols, k)
+                        counts += np.bincount(gi[d <= k], minlength=G)
         # truncated tails: one window matrix per group, one pass per pattern
         tail_wins = _tail_windows(T, starts[tail], ends[tail], own_arr[tail], m, k)
         for gi, (qid, pat) in enumerate(group):
@@ -286,7 +317,11 @@ def _tail_matches(tail_wins: tuple[np.ndarray, np.ndarray, int], P: np.ndarray, 
 
 def windowed_match_count(text: str, pattern: str, k: int) -> int:
     """Number of matching positions of ``pattern`` in ``text`` under the
-    reference's truncated-window semantics (module docstring, use 1)."""
+    reference's truncated-window semantics (module docstring, use 1).
+
+    Runs the banded DP over EVERY window, with no pigeonhole filter: this is
+    the path ``oracle.oracle_windowed_counts`` and the tests' references
+    take, so it stays independent of :func:`_piece_candidates`."""
     N = len(text)
     m = len(pattern)
     if N == 0 or m == 0:
@@ -296,10 +331,9 @@ def windowed_match_count(text: str, pattern: str, k: int) -> int:
     count = 0
     W = N - m + 1
     if W > 0:
+        wins = np.lib.stride_tricks.sliding_window_view(T, m)
         for s in range(0, W, _CHUNK):
-            e = min(W, s + _CHUNK)
-            wins = np.lib.stride_tricks.sliding_window_view(T, m)[s:e]
-            dists = _banded_window_pass(np.ascontiguousarray(wins), P, k)
+            dists = _banded_window_pass(wins[s : s + _CHUNK].T, P, k)
             count += int((dists <= k).sum())
     # Tail positions: size = N - j < m; BOTH strings truncated to size.
     ends = np.array([N], dtype=np.int64)
@@ -308,48 +342,8 @@ def windowed_match_count(text: str, pattern: str, k: int) -> int:
 
 
 def windowed_match_count_many(texts: list[str], pattern: str, k: int) -> int:
-    """Sum of :func:`windowed_match_count` over many documents, with ONE
-    banded DP over the concatenation of all full windows.
-
-    Per-document calls pay m*(2k+1) numpy dispatches per ~300-char doc —
-    pure Python overhead on short documents. Here all documents' full windows
-    run as one vector (windows crossing document boundaries are computed but
-    masked out; the waste is m-1 windows per boundary). Truncated tail
-    positions (size < m) run as one diagonal pass over all documents' tail
-    windows.
-    """
-    m = len(pattern)
-    if m == 0 or not texts:
-        return 0
-    P = codepoints(pattern)
-    arrs = [codepoints(t) for t in texts if len(t) > 0]
-    if not arrs:
-        return 0
-    lens = np.fromiter((len(a) for a in arrs), dtype=np.int64, count=len(arrs))
-    T = np.concatenate(arrs)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    N = T.size
-    count = 0
-    W = N - m + 1
-    if W > 0:
-        # a window starting at j is valid iff it does not cross a doc
-        # boundary: j + m <= end_of_doc(j)
-        valid = np.zeros(W, dtype=bool)
-        for s, e in zip(starts, ends):
-            if e - s >= m:
-                valid[s : e - m + 1] = True
-        wins = np.lib.stride_tricks.sliding_window_view(T, m)
-        for s in range(0, W, _CHUNK):
-            e = min(W, s + _CHUNK)
-            v = valid[s:e]
-            if not v.any():
-                continue
-            dists = _banded_window_pass(np.ascontiguousarray(wins[s:e]), P, k)
-            count += int(((dists <= k) & v).sum())
-    # truncated tails per document (vectorized diagonal pass)
-    count += _tail_matches(_tail_windows(T, starts, ends, lens, m, k), P, k)
-    return count
+    """Sum of :func:`windowed_match_count` over many documents."""
+    return windowed_match_counts_multi(texts, [(0, pattern, k)])[0]
 
 
 def bounded_term_distances(pattern: str, terms: list[str], k: int) -> np.ndarray:

@@ -7,6 +7,7 @@ non-text data — the same patterns the index build uses (SURVEY.md A1).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -1730,36 +1731,40 @@ def gap_stats(sf_dir: str, n_buckets: int = 64) -> ray.data.Dataset:
             }
         )
 
-    agg = (
+    partials = (
         ds.map_batches(prune, batch_format="pyarrow")
         .groupby("cg")
         .map_groups(per_bucket, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n_gaps"),
-            Sum("sx", alias_name="sx"),
-            Sum("sxx", alias_name="sxx"),
-        )
     )
+    return _gap_stats_reduce(partials)
 
-    def finalize(batch: pa.Table) -> pa.Table:
+
+def _gap_stats_reduce(partials: ray.data.Dataset) -> ray.data.Dataset:
+    """:func:`gap_stats`' k-row final reduce of the per-bucket
+    (event_type, n, sx, sxx) partials. ``n`` adds as an integer; Σg and Σg²
+    add with ``math.fsum``, which is correctly rounded, so the 6-dp result
+    does not depend on the order in which the shuffle delivers the partials
+    (integer microsecond partials would overflow int64: gaps reach 2.6e12
+    µs at sf0.1)."""
+
+    def reduce_type(group: pa.Table) -> pa.Table:
         from distributed_text_search_ray.util import round_half_away
 
-        n = batch.column("n_gaps").to_numpy().astype(np.float64)
-        sx = batch.column("sx").to_numpy()
-        sxx = batch.column("sxx").to_numpy()
+        n = int(pc.sum(group.column("n")).as_py())
+        sx = math.fsum(group.column("sx").to_numpy())
+        sxx = math.fsum(group.column("sxx").to_numpy())
         avg = sx / n
-        var = sxx / n - (sx / n) * (sx / n)
+        var = sxx / n - avg * avg
         return pa.table(
             {
-                "event_type": batch.column("event_type"),
-                "n_gaps": batch.column("n_gaps"),
-                "avg_gap_s": pa.array(round_half_away(avg, 6), type=pa.float64()),
+                "event_type": group.column("event_type").slice(0, 1),
+                "n_gaps": pa.array([n], type=pa.int64()),
+                "avg_gap_s": pa.array(round_half_away(np.array([avg]), 6), type=pa.float64()),
                 "std_gap_s": pa.array(
-                    round_half_away(np.sqrt(np.maximum(var, 0.0)), 6),
+                    round_half_away(np.sqrt(np.maximum([var], 0.0)), 6),
                     type=pa.float64(),
                 ),
             }
         )
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    return partials.groupby("event_type").map_groups(reduce_type, batch_format="pyarrow")

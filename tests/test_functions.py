@@ -279,6 +279,90 @@ def test_windowed_counts_multi_over_halo_segments_equals_whole_text(text, cuts, 
         assert got[qid] == py_windowed_count(text, p, k), (p, k)
 
 
+# Alphabet on which the pigeonhole filter prunes: 10 symbols, two of them
+# above U+00FF, so a random 2-char piece occurs at ~1% of positions.
+APM_ALPHA = "ABCDEFGHé€"
+
+
+@st.composite
+def _pruning_apm_case(draw):
+    """Texts over APM_ALPHA and (qid, pattern, k) triples: patterns cut from
+    the texts with a few substitutions, insertions and deletions (so that
+    near matches at shifted offsets exist), free patterns, one large (m, k)
+    group, and duplicates."""
+    texts = draw(st.lists(st.text(alphabet=APM_ALPHA, max_size=60), max_size=5))
+    joined = "".join(texts) or APM_ALPHA
+    ch = st.sampled_from(APM_ALPHA)
+
+    def near(m):
+        i = draw(st.integers(0, len(joined) - 1))
+        p = list(joined[i : i + m + 2])
+        for op in draw(st.lists(st.sampled_from("sid"), max_size=3)):
+            j = draw(st.integers(0, len(p)))
+            if op == "i":
+                p.insert(j, draw(ch))
+            elif p and j < len(p):
+                if op == "s":
+                    p[j] = draw(ch)
+                else:
+                    del p[j]
+        p = "".join(p)[:m]
+        return p + draw(st.text(alphabet=APM_ALPHA, min_size=m - len(p), max_size=m - len(p)))
+
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 5))
+    pats = [(near(m), k) for _ in range(draw(st.integers(1, 12)))]  # one big group
+    for _ in range(draw(st.integers(0, 6))):
+        m2 = draw(st.integers(1, 8))
+        free = st.text(alphabet=APM_ALPHA, min_size=m2, max_size=m2)
+        p = near(m2) if draw(st.booleans()) else draw(free)
+        pats.append((p, draw(st.integers(0, 5))))
+    pats += draw(st.lists(st.sampled_from(pats), max_size=3))  # duplicates
+    return texts, [(q, p, k) for q, (p, k) in enumerate(pats)]
+
+
+@given(_pruning_apm_case(), st.sampled_from([1, 40, 400, lev._LANE_BUDGET]))
+@settings(max_examples=300, deadline=None)
+def test_windowed_counts_multi_filter_matches_reference_loop(case, budget):
+    """Filter + verify counts exactly what the reference loop counts, with k
+    from 0 to 5 (k >= m included), on an alphabet where most windows are
+    pruned, and with the lane budget small enough that a group spans many
+    text chunks."""
+    texts, patterns = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lev, "_LANE_BUDGET", budget)
+        got = lev.windowed_match_counts_multi(texts, patterns)
+    for qid, p, k in patterns:
+        assert got[qid] == sum(py_windowed_count(t, p, k) for t in texts), (p, k)
+
+
+def test_windowed_counts_multi_every_window_a_candidate():
+    """Worst case of the filter: every window of "a" * N holds every piece,
+    so every (pattern, window) pair goes to the verify DP."""
+    text = "a" * 3000
+    pats = [(0, "aaaa", 1), (1, "aaab", 1), (2, "abba", 1), (3, "aaaa", 0)]
+    got = lev.windowed_match_counts_multi([text], pats)
+    assert got[0] == got[1] == got[3] == len(text)
+    assert got == {q: lev.windowed_match_count(text, p, k) for q, p, k in pats}
+
+
+def test_oracle_windowed_counts_does_not_use_the_filter(monkeypatch):
+    """The oracle runs the unfiltered banded DP: with the pigeonhole filter
+    broken it still returns the reference loop's answer."""
+    from distributed_text_search_ray import oracle
+
+    def broken(*args, **kwargs):
+        raise AssertionError("pigeonhole filter called")
+
+    monkeypatch.setattr(lev, "_piece_candidates", broken)
+    docs = [(0, "ABCAB€ABéCAAB"), (1, "BAC"), (2, "")]
+    pats = [(0, "ABC", 1), (1, "ABéC", 2), (2, "CA", 0)]
+    with pytest.raises(AssertionError, match="pigeonhole"):
+        lev.windowed_match_counts_multi([t for _, t in docs], pats)
+    want = [(q, sum(py_windowed_count(t, p, k) for _, t in docs)) for q, p, k in pats]
+    assert oracle.oracle_windowed_counts(docs, pats) == want
+
+
 def test_segment_format_roundtrip_and_block_decode(tmp_path):
     """v3 segment format property test: random posting lists round-trip at
     edge block sizes, and selective block decode returns exactly the

@@ -442,3 +442,40 @@ def test_gap_stats_bucket_invariance_and_duckdb():
         assert g[0] == w[0] and g[1] == w[1]
         assert g[2] == pytest.approx(w[2], abs=2e-6)
         assert g[3] == pytest.approx(w[3], abs=2e-6)
+
+
+def test_gap_stats_reduce_is_block_order_independent():
+    """The final reduce of gap_stats adds the per-bucket float partials with
+    math.fsum, so any order in which the shuffle delivers them gives the same
+    doubles — here, orders whose plain left-to-right sums differ."""
+    import numpy as np
+    import ray.data
+
+    from distributed_text_search_ray.pipelines.relational import _gap_stats_reduce
+
+    rng = np.random.default_rng(11)
+    n = 48
+    types = np.array(["click", "view", "buy"])[rng.integers(0, 3, n)]
+    sx = rng.random(n) * 10.0 ** rng.integers(0, 13, n)
+    parts = pa.table(
+        {
+            "event_type": pa.array(types.tolist(), type=pa.string()),
+            "n": pa.array(rng.integers(1, 10**6, n), type=pa.int64()),
+            "sx": pa.array(sx, type=pa.float64()),
+            "sxx": pa.array(sx * sx * (1 + rng.random(n)), type=pa.float64()),
+        }
+    )
+    orders = [rng.permutation(n) for _ in range(4)]
+    plain = {float(np.add.reduce(sx[o][types[o] == "click"])) for o in orders}
+    assert len(plain) > 1  # the orders do reorder a non-associative float sum
+
+    def rows(order, n_blocks):
+        shuffled = parts.take(pa.array(order))
+        cuts = np.linspace(0, n, n_blocks + 1).astype(int)
+        blocks = [shuffled.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+        ds = ray.data.from_arrow(blocks)
+        return sorted(tuple(r.values()) for r in _gap_stats_reduce(ds).take_all())
+
+    want = rows(np.arange(n), 1)
+    for i, order in enumerate(orders):
+        assert rows(order, 2 + i) == want
