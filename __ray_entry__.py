@@ -13,6 +13,7 @@ calls ``ray.init`` / ``ray.shutdown``.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from collections.abc import Callable
 from typing import Any
@@ -287,6 +288,19 @@ _CACHE_ROOT = "/tmp/dts_ray_cache"
 # helpers
 # --------------------------------------------------------------------------
 
+logger = logging.getLogger(__name__)
+
+
+def _one_line(e: Exception) -> str:
+    """``Type: message`` on one line. Keeps head AND tail: a RayTaskError
+    prefixes a long remote stack, so the terminal cause lives at the END of
+    str(e)."""
+    msg = " ".join(str(e).split())
+    if len(msg) > 360:
+        msg = msg[:120] + " ... " + msg[-240:]
+    return f"{type(e).__name__}: {msg}"
+
+
 def _cached_artifact(
     out_dir: str,
     sig: dict,
@@ -328,8 +342,11 @@ def _cached_artifact(
             try:
                 validate_fn(out_dir)
                 return out_dir
-            except Exception:
-                pass  # stale/corrupt cache: fall through to a rebuild
+            except Exception as e:  # stale/corrupt cache: rebuild it
+                logger.warning(
+                    "cache of artifact '%s' failed validation, rebuilding: %s",
+                    name, _one_line(e),
+                )
     # invalidate the marker BEFORE touching any dir (write-then-publish)
     try:
         os.remove(marker)
@@ -340,14 +357,7 @@ def _cached_artifact(
         shutil.rmtree(d, ignore_errors=True)
 
     def _one_line_error(stage: str, e: Exception):
-        # keep head AND tail: a RayTaskError prefixes a long remote stack,
-        # so the terminal cause lives at the END of str(e)
-        msg = " ".join(str(e).split())
-        if len(msg) > 360:
-            msg = msg[:120] + " ... " + msg[-240:]
-        return RuntimeError(
-            f"cache {stage} failed for artifact '{name}': {type(e).__name__}: {msg}"
-        )
+        return RuntimeError(f"cache {stage} failed for artifact '{name}': {_one_line(e)}")
 
     try:
         build_fn(tmp)
@@ -5554,9 +5564,9 @@ g AS (
   SELECT event_type, (tus - prev) / 1000000.0 gap FROM ev WHERE prev IS NOT NULL
 )
 SELECT event_type, count(*)::BIGINT n_gaps,
-       round(sum(gap) / count(*), 6) avg_gap_s,
-       round(sqrt(greatest(sum(gap * gap) / count(*)
-             - (sum(gap) / count(*)) * (sum(gap) / count(*)), 0)), 6) std_gap_s
+       round(fsum(gap) / count(*), 6) avg_gap_s,
+       round(sqrt(greatest(fsum(gap * gap) / count(*)
+             - (fsum(gap) / count(*)) * (fsum(gap) / count(*)), 0)), 6) std_gap_s
 FROM g GROUP BY 1
 """,
         # moments sum as 6-dp-quantized BIGINT micro-units on BOTH sides:

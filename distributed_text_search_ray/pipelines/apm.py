@@ -32,20 +32,22 @@ import ray
 def _scan_tile(
     texts: list[str],
     chunk: list[tuple[int, str, int]],
-    seg: tuple[int, int, int],
+    segs: list[tuple[int, int, int]],
     m_max: int,
 ) -> dict[int, int]:
-    """One (pattern-chunk x window-segment) tile. ``seg`` =
-    (doc_idx, start, owned_len): the slice carries an m_max-1 halo so every
-    owned full window is complete; an owned position counts as a truncated
-    tail window when the slice reaches the document's end (reference halo
-    rule, src/flexible_mpi.c:196-197)."""
-    di, start, owned_len = seg
-    t = texts[di]
-    stop = start + owned_len + m_max - 1
-    return windowed_match_counts_multi(
-        [t[start:stop]], chunk, owned=[owned_len], tails=[stop >= len(t)]
-    )
+    """One (pattern-chunk x window-segments) tile, one kernel call. Each
+    segment is (doc_idx, start, owned_len): its slice carries an m_max-1
+    halo so every owned full window is complete; an owned position counts
+    as a truncated tail window when the slice reaches the document's end
+    (reference halo rule, src/flexible_mpi.c:196-197)."""
+    slices, owned, tails = [], [], []
+    for di, start, owned_len in segs:
+        t = texts[di]
+        stop = start + owned_len + m_max - 1
+        slices.append(t[start:stop])
+        owned.append(owned_len)
+        tails.append(stop >= len(t))
+    return windowed_match_counts_multi(slices, chunk, owned=owned, tails=tails)
 
 
 def _local_result_dataset(tbl: pa.Table) -> ray.data.Dataset:
@@ -187,12 +189,14 @@ def windowed_match_counts(
             # the segment halo below then matches flexible_mpi's rank halos
             texts = ["".join(texts)]
         texts_ref = _ray.put(texts)
-        # 2-D (pattern-chunk x window-segment) tiling. Tile count targets ONE
-        # wave of num_cpus tasks: spawning more tasks than CPUs makes the
+        # 2-D (pattern-chunk x window-segments) tiling. Tile count targets
+        # ONE wave of num_cpus tasks: spawning more tasks than CPUs makes the
         # raylet grow the worker pool past its soft limit and cull it after
         # every call — the respawn cost (~0.4 s) dominated these scenarios.
-        # Per-op DP lanes stay <= 256 KB so concurrent tiles don't thrash the
-        # shared cache on pattern-heavy shapes.
+        # So segments (a long document's 16K-char pieces, or whole short
+        # documents) are dealt round-robin into at most num_cpus tiles, each
+        # one kernel call. Per-op DP lanes stay <= 256 KB so concurrent
+        # tiles don't thrash the shared cache on pattern-heavy shapes.
         try:
             ncpu = int(_ray.cluster_resources().get("CPU", 8))
         except Exception:
@@ -214,16 +218,17 @@ def windowed_match_counts(
                 )
             )
         max_seg = max(o for _, _, o in segments)
-        n_segs = len(segments)
-        n_chunks = max(1, ncpu // n_segs) if n_segs < ncpu else 1
+        n_tiles = min(len(segments), max(1, ncpu))
+        tiles = [segments[i::n_tiles] for i in range(n_tiles)]
+        n_chunks = max(1, ncpu // n_tiles)
         pat_chunk = max(
             1, min(-(-len(pats) // n_chunks), (1 << 18) // max(1, max_seg))
         )
         chunks = [pats[i : i + pat_chunk] for i in range(0, len(pats), pat_chunk)]
         refs = [
-            _scan_tile.remote(texts_ref, c, seg, m_max)
+            _scan_tile.remote(texts_ref, c, tile, m_max)
             for c in chunks
-            for seg in segments
+            for tile in tiles
         ]
         out: dict[int, int] = {q: 0 for q, _, _ in pats}
         for part in _ray.get(refs):

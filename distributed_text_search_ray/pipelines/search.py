@@ -1063,6 +1063,11 @@ class _MaskedView:
         keep = self._live(docs)
         return docs[keep], contrib[keep]
 
+    def term_dense(self, term: str):
+        """Always the masked sparse contributions: the base view's dense
+        vector holds the docs the mask drops."""
+        return self.term_contribs(term)
+
 
 def _attribute_tables(index_dir: str, attr: str) -> list[pa.Table]:
     """(doc_id, ``attr``) of every attributes/ sidecar shard that has the

@@ -19,7 +19,15 @@ contract), so all modes are bit-identical (unit-tested):
 - ``taat`` (executor default): term-at-a-time. On dense doc ids (0..N, as
   the documents tables number them) contributions accumulate into one
   reusable float64 array, no sort; sparse 63-bit fingerprint ids fall back
-  to a stable sort and a segmented sum.
+  to a stable sort and a segmented sum. On dense ids a term whose live
+  postings cover at least half of the id space is cached as one float64
+  vector over it (``IndexView.term_dense``, 8 bytes per id slot: no more
+  than the 16 bytes per posting of its sparse contributions at that
+  density) and added with one vector add, in the same term order; where
+  the term is absent the add is an exact ``+0.0``, so sums do not change.
+  The top-k cut ``t`` is the k-th largest of every 16th accumulator slot:
+  k slots score ``>= t``, so the k-th largest score is ``>= t`` and
+  ``buf >= t`` keeps every top-k doc and every tie of the k-th — exact.
 - ``maxscore`` (pipeline default): an alias of ``taat``. MaxScore candidate
   pruning (Turtle & Flood 1995) pays off only when it skips decode or I/O;
   over cached contributions it skips neither.
@@ -60,9 +68,12 @@ from distributed_text_search_ray.state.segment import SegmentReader
 # and dictionaries), and all of them together at most MAX_CACHED_BYTES of
 # cached postings and BM25 contributions (the int64 doc/tf/dl arrays of 32M
 # postings, ~770 MB; a term that only the scorers read keeps its doc ids and
-# float64 contributions, 16 bytes per posting).
+# float64 contributions, 16 bytes per posting, or, covering half the dense
+# id space, one float64 per id slot).
 MAX_GENERATIONS = 4
 MAX_CACHED_BYTES = 32_000_000 * 24
+# the dense top-k cuts at the k-th largest of every 16th accumulator slot
+_SAMPLE_STRIDE = 16
 
 TOPK_SCHEMA = pa.schema(
     [
@@ -299,6 +310,31 @@ class IndexView:
                 self._postings.put(key, hit)
         return hit
 
+    def term_dense(self, term: str) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(None, vector)`` when the term's live postings cover at least
+        half of the dense id space ``0..max_doc_id``: its BM25 contributions
+        as one read-only float64 vector over that space, 0.0 where the term
+        has no live posting. Else ``term_contribs(term)``. The vector is
+        cached once per generation in place of the sparse contributions
+        (unless something had cached those first): at this density its 8
+        bytes per id slot are no more than their 16 bytes per posting."""
+        key = (self._token, "dense", term)
+        hit = self._postings.get(key)
+        if hit is not None:
+            return None, hit[0]
+        ckey = (self._token, "bm25", term)
+        had_contribs = self._postings.get(ckey) is not None
+        docs, contrib = self.term_contribs(term)
+        m = int(self.meta.get("max_doc_id", -1))
+        if m < 0 or 2 * len(docs) < m + 1:
+            return docs, contrib
+        vec = np.zeros(m + 1, dtype=np.float64)
+        vec[docs] = contrib
+        if not had_contribs:
+            self._postings.discard(ckey)
+        self._postings.put(key, (vec,))
+        return None, vec
+
     def term_positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids, tfs, flat_positions) for a positional (v4) index —
         positions grouped per posting, split points = cumsum(tfs). Raises
@@ -523,16 +559,23 @@ class QueryExecutor:
 
     # ---- term-at-a-time (vectorized, deterministic accumulation order) ----
     def _term_contribs(
-        self, terms: list[str], weights: dict[str, float] | None = None, view=None
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        self,
+        terms: list[str],
+        weights: dict[str, float] | None = None,
+        view=None,
+        dense: bool = False,
+    ) -> tuple[list[np.ndarray | None], list[np.ndarray]]:
         """Per-term (posting doc ids, BM25 contributions) in the caller's
         (ascending) term order — the shared head of every TAAT variant.
-        ``weights`` scales each term's contributions: ``w * (idf * tf_part)``."""
+        ``weights`` scales each term's contributions: ``w * (idf * tf_part)``.
+        With ``dense=True`` a term the view holds as a dense vector
+        (``term_dense``) comes as ``(None, vector)``."""
         v = self.view if view is None else view
+        fetch = v.term_dense if dense else v.term_contribs
         all_docs, all_contrib = [], []
         for term in terms:
-            docs, contrib = v.term_contribs(term)
-            if not len(docs):
+            docs, contrib = fetch(term)
+            if docs is not None and not len(docs):
                 continue
             if weights is not None:
                 contrib = weights[term] * contrib
@@ -543,13 +586,15 @@ class QueryExecutor:
     def _score_taat(
         self, terms: list[str], k: int, weights: dict[str, float] | None = None, view=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self._accumulate(*self._term_contribs(terms, weights, view), k)
+        dense = self._dense_buffer() is not None
+        return self._accumulate(*self._term_contribs(terms, weights, view, dense), k)
 
     def _accumulate(
-        self, all_docs: list[np.ndarray], all_contrib: list[np.ndarray], k: int
+        self, all_docs: list[np.ndarray | None], all_contrib: list[np.ndarray], k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-k of the per-doc sums of per-term (doc ids,
-        contributions) chunks, added in chunk (ascending term) order."""
+        contributions) chunks, added in chunk (ascending term) order; a
+        chunk without doc ids is a dense vector (``term_dense``)."""
         if not all_docs:
             return no_hits()
         buf = self._dense_buffer()
@@ -557,13 +602,21 @@ class QueryExecutor:
             return _topk_rows(*segment_sum(all_docs, all_contrib), k)
         # dense doc-id space: accumulate straight into a reusable float64
         # array — no sort. Per-doc addition order is still ascending term
-        # order (one fancy-index += per term), bit-identical to the oracle;
-        # BM25 contributions are > 0, so score 0 == unscored.
+        # order (one fancy-index += per sparse term, one vector add per
+        # dense term, which adds an exact +0.0 where the term is absent),
+        # bit-identical to the oracle; BM25 contributions are > 0, so
+        # score 0 == unscored.
         for docs, contrib in zip(all_docs, all_contrib):
-            buf[docs] += contrib
+            if docs is None:
+                buf[: len(contrib)] += contrib
+            else:
+                buf[docs] += contrib
         out = self._dense_topk(buf, k)
-        for docs in all_docs:  # reset only the touched slots
-            buf[docs] = 0.0
+        if any(docs is None for docs in all_docs):
+            buf.fill(0.0)
+        else:
+            for docs in all_docs:  # reset only the touched slots
+                buf[docs] = 0.0
         return out
 
     def _score_taat_msm(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
@@ -589,17 +642,18 @@ class QueryExecutor:
 
     @staticmethod
     def _dense_topk(buf: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k < len(buf):
-            cut = np.partition(buf, len(buf) - k)[len(buf) - k]
-        else:
-            cut = 0.0
-        if cut > 0.0:
-            cand = np.flatnonzero(buf >= cut)  # keeps kth-score ties for the
-        else:                                  # doc_id tie-break
-            cand = np.flatnonzero(buf > 0.0)
-        scores = buf[cand]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order], scores[order]
+        """Exact top-k of the scored (> 0) slots. The cut ``t`` is the k-th
+        largest value of every ``_SAMPLE_STRIDE``-th slot: those k sampled
+        slots score >= t, so the k-th largest score overall is >= t, and
+        ``buf >= t`` holds every top-k doc and every doc tied with the
+        k-th (for the doc_id tie-break). A cut that is not positive keeps
+        every scored slot."""
+        sample = buf[::_SAMPLE_STRIDE]
+        t = 0.0
+        if 0 < k <= len(sample):
+            t = np.partition(sample, len(sample) - k)[len(sample) - k]
+        cand = np.flatnonzero(buf >= t) if t > 0.0 else np.flatnonzero(buf > 0.0)
+        return _topk_rows(cand, buf[cand], k)
 
     # ---- block-max pruned mode: decode-skipping Block-Max MaxScore ----
     def _score_wand(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -785,6 +839,10 @@ class FederatedIndexView:
         cached ones, which use that member's N, avgdl and df. Not cached:
         a federated view lives for one task."""
         return bm25_contribs(self, term)
+
+    def term_dense(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Always the sparse contributions: nothing is cached to share."""
+        return self.term_contribs(term)
 
 
 class FederatedQueryExecutor(QueryExecutor):

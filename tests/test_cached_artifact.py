@@ -6,6 +6,7 @@ before trusting them, (c) rebuild transparently after artificial corruption,
 and (d) raise one-line stage-named errors (never dump table contents)."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -57,16 +58,28 @@ def test_sig_change_rebuilds(tmp_path):
     assert len(calls) == 2
 
 
-def test_corrupted_artifact_is_rebuilt_despite_marker(tmp_path):
-    """The r4 failure shape: marker says valid, dir is corrupt."""
+def test_corrupted_artifact_is_rebuilt_despite_marker(tmp_path, caplog):
+    """The r4 failure shape: marker says valid, dir is corrupt. The
+    validator's error is logged as one line before the rebuild."""
     out = str(tmp_path / "art")
     calls = []
     _cached_artifact(out, {"v": 1}, _mk_build(calls), _validate_data)
     with open(os.path.join(out, "data.txt"), "w") as f:
         f.write("")  # corrupt: validator rejects empty payload
-    got = _cached_artifact(out, {"v": 1}, _mk_build(calls), _validate_data)
+
+    def noisy(d):  # a remote-stack-sized message, its cause at the end
+        if not os.path.getsize(os.path.join(d, "data.txt")):
+            raise RuntimeError("remote frame\n" * 200 + "empty artifact")
+
+    with caplog.at_level(logging.WARNING, logger="__ray_entry__"):
+        got = _cached_artifact(out, {"v": 1}, _mk_build(calls), noisy)
     assert len(calls) == 2
     assert open(os.path.join(got, "data.txt")).read() == "v1"
+    (rec,) = [r for r in caplog.records if r.name == "__ray_entry__"]
+    line = rec.getMessage()
+    assert "'art' failed validation" in line and "\n" not in line
+    assert "RuntimeError: remote frame" in line and " ... " in line
+    assert line.endswith("empty artifact") and len(line) < 500
 
 
 def test_corrupt_marker_json_is_rebuilt(tmp_path):

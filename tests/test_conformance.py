@@ -203,6 +203,51 @@ def test_concat_mode_joins_a_lazy_read_in_file_order(tmp_path):
             assert {r["query_id"]: r["n_matches"] for r in got} == want
 
 
+def test_broadcast_plan_packs_short_documents_into_one_wave(monkeypatch):
+    """Many short documents (empty and shorter-than-pattern ones among
+    them) plus one long multi-segment document: the broadcast plan deals
+    their segments into at most one task per CPU and counts exactly what
+    the stream plan and the per-window reference count, with and without
+    ``concat``."""
+    import numpy as np
+    import ray
+    import ray.data
+
+    from distributed_text_search_ray.pipelines import apm
+
+    rng = np.random.default_rng(21)
+    letters = np.array(list("ABCD"))
+    texts = ["".join(rng.choice(letters, int(rng.integers(0, 40)))) for _ in range(400)]
+    texts[7] = "".join(rng.choice(letters, 40_000))
+    pats = [(0, "ABCA", 0), (1, "DCBA", 1), (2, "ABCDAB", 2), (3, "A", 0), (4, "ABCA", 0)]
+    ds = ray.data.from_arrow(pa.table({"content": pa.array(texts, pa.string())})).materialize()
+    tasks = []
+    remote = apm._scan_tile.remote
+
+    class Counting:
+        @staticmethod
+        def remote(*args):
+            tasks.append(args[2])
+            return remote(*args)
+
+    monkeypatch.setattr(apm, "_scan_tile", Counting)
+    joined = "".join(texts)
+    for concat in (False, True):
+        if concat:
+            want = {q: windowed_match_count(joined, p, k) for q, p, k in pats}
+        else:
+            want = {q: sum(windowed_match_count(t, p, k) for t in texts) for q, p, k in pats}
+        for plan in ("broadcast", "stream"):
+            tasks.clear()
+            got = windowed_match_counts(ds, pats, concat=concat, plan=plan).take_all()
+            assert {r["query_id"]: r["n_matches"] for r in got} == want
+            if plan == "broadcast":
+                ncpu = int(ray.cluster_resources()["CPU"])
+                assert 0 < len(tasks) <= ncpu
+                n_segs = 1 + (len(joined) - 1) // 16384 if concat else 400 - 1 + 3
+                assert sum(len(t) for t in tasks) == n_segs
+
+
 _KILL_SCRIPT = """
 import sys, os
 sys.path.insert(0, {repo!r})

@@ -6,7 +6,8 @@ in-place ``delete_docs`` or a ``set_alias`` swap takes effect on the next
 call even in a worker that already has the old generation cached; the cache
 holds a bounded number of generations, an evicted view drops its segment
 readers, and all cached views share one byte budget for decoded postings
-and BM25 contributions (read-only arrays); a routed batch opens only the
+and BM25 contributions (read-only arrays, dense vectors of common terms
+included); a routed batch opens only the
 members it routes to; index query stages plan as task pools, never actor
 pools.
 """
@@ -14,7 +15,9 @@ pools.
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pyarrow.compute as pc
 import pytest
 import ray.data
@@ -172,6 +175,48 @@ def test_cached_contributions_are_read_only_and_bytes_bound_the_cache(index, tmp
     assert (view._token, "postings", "data") not in lru._entries
     assert lru.size == sum(executor._nbytes(e) for e in lru._entries.values())
     assert view.term_contribs("data")[1].tobytes() == contrib.tobytes()
+
+
+def test_dense_vectors_are_read_only_counted_and_dropped_with_their_generation(tmp_path, views):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    n = 40
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(n), pa.int64()),
+                "repo": ["r"] * n,
+                "path": [f"{i}.py" for i in range(n)],
+                "commit": ["c"] * n,
+                "content": [f"common {'rare' if i % 9 == 0 else 'other'} w{i}" for i in range(n)],
+            }
+        ),
+        corpus / "shard-0.parquet",
+    )
+    idx = str(tmp_path / "idx")
+    build_index(str(corpus), idx, IndexConfig(num_partitions=2))
+    view = open_view(idx)
+    lru = executor._POSTINGS
+    before = lru.size
+    docs, vec = view.term_dense("common")
+    assert docs is None and vec.shape == (n,) and (vec > 0).all()
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+    assert view.term_dense("common")[1] is vec  # built once
+    # the vector replaces the sparse contributions in the shared budget
+    keys = [k for k in lru._entries if k[0] is view._token]
+    assert keys == [(view._token, "dense", "common")]
+    assert lru.size - before == vec.nbytes == 8 * n
+    assert lru.size == sum(executor._nbytes(e) for e in lru._entries.values())
+    rare = view.term_dense("rare")  # 5 of 40 docs: stays sparse
+    assert rare[0] is not None and len(rare[0]) == 5
+
+    delete_docs(idx, [3])
+    new = open_view(idx)
+    assert new is not view and not _cached(view)
+    assert lru.size == sum(executor._nbytes(e) for e in lru._entries.values())
+    fresh = new.term_dense("common")[1]
+    assert fresh[3] == 0.0 and np.array_equal(np.delete(fresh, 3), np.delete(vec, 3))
 
 
 def test_routed_search_opens_only_the_routes_a_batch_uses(index, tmp_path, views):

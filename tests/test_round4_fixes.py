@@ -1554,6 +1554,31 @@ def test_bigram_logperp_matches_python_reference():
     assert got == want
 
 
+def test_bigram_coarse_groups_equal_the_signed_overflow_expression():
+    """The coarse shuffle group of a packed bigram key, now computed in
+    uint64, equals the old signed-int64 expression whose product overflows
+    (context keys carry bit 62), so group ids do not move."""
+    import numpy as np
+
+    from distributed_text_search_ray.pipelines.textstats import _coarse_group
+
+    rng = np.random.default_rng(3)
+    keys = np.concatenate(
+        [
+            np.arange(0, 200, dtype=np.int64),
+            rng.integers(0, 1 << 40, 500) | (1 << 62),  # context keys
+            rng.integers(1 << 33, 1 << 62, 500),
+            np.array([(1 << 62) | ((1 << 40) - 1), (1 << 63) - 1], dtype=np.int64),
+        ]
+    )
+    with np.errstate(over="ignore"):
+        old = (keys * 0x9E3779B1) % 64
+    assert (keys[200:].astype(object) * 0x9E3779B1 > (1 << 63) - 1).all()  # overflows
+    got = _coarse_group(keys)
+    assert got.dtype == np.int64 and np.array_equal(got, old)
+    assert got.min() >= 0 and got.max() < 64
+
+
 def test_phrase_suggest_corrects_tokens(code_corpus, tmp_path_factory):
     """Each phrase token lands on the (distance, df desc, term) best
     dictionary candidate; exact tokens and uncorrectable tokens pass
