@@ -4,7 +4,7 @@ The reference's entry point is ``mpirun ... ./apm approx_factor dir pattern...``
 (parse_args: /root/reference/src/flexible_mpi.c:209-270). Ours:
 
     python -m distributed_text_search_ray.cli build  CORPUS_DIR INDEX_DIR [--partitions P]
-    python -m distributed_text_search_ray.cli search INDEX_DIR QUERY... [--topk K] [--wand]
+    python -m distributed_text_search_ray.cli search INDEX_DIR QUERY... [--topk K]
     python -m distributed_text_search_ray.cli fuzzy  INDEX_DIR PATTERN... [--k K]
     python -m distributed_text_search_ray.cli apm    CORPUS_DIR K PATTERN...   # reference argv order
     python -m distributed_text_search_ray.cli phrase INDEX_DIR CORPUS_DIR PHRASE... [--scan]
@@ -67,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("index_dir")
     s.add_argument("queries", nargs="+")
     s.add_argument("--topk", type=int, default=10)
-    s.add_argument("--wand", action="store_true")
     s.add_argument(
         "--filter",
         default=None,
@@ -269,9 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             search_topk_boolean_filtered,
         )
 
-        if args.filter and args.wand:
-            p.error("--filter supports taat/maxscore only (not --wand)")
-        if args.msm > 1 and (args.filter or args.wand):
+        if args.msm > 1 and args.filter:
             p.error("--msm supports the plain taat path only")
         if args.msm > 1:
             from distributed_text_search_ray.pipelines.search import search_topk_msm
@@ -294,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.index_dir,
                 list(enumerate(args.queries)),
                 topk=args.topk,
-                mode="wand" if args.wand else "taat",
             ).take_all()
         for r in rows:
             print(f"{r['query_id']}\t{r['rank']}\t{r['doc_id']}\t{r['score']:.6f}")

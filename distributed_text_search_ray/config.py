@@ -89,7 +89,7 @@ class IndexConfig:
     salt_buckets: int = 4
     salt_df_threshold: float = 0.25  # fraction of N above which a term is "hot"
     heavy_hitter_track: int = 512    # per-batch top-M terms tracked in the stats pass
-    block_size: int = 128            # postings per block for block-max metadata
+    block_size: int = 128            # docs.bin doc-id delta-restart interval (postings)
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
@@ -110,8 +110,9 @@ class IndexConfig:
 
 # bumped whenever the on-disk segment/manifest layout changes, so an index
 # built by an older layout is never silently reused on resume
-# v3: per-block delta restarts + per-block byte offsets (independently
-# decodable blocks for block-max decode skipping)
+# v3: doc-id delta restarts every block_size postings (the per-block
+# columns v3 added to terms.parquet are no longer written; readers ignore
+# them, so both forms are v3)
 # v4: optional positional stream (pos.bin + pos_off/pos_nbytes term
 # columns) when IndexConfig.store_positions is set
 INDEX_FORMAT_VERSION = 4

@@ -9,8 +9,8 @@ A. **tokenize + partition** — one task per corpus shard: analyze, assign each
    layout, not a Ray all-to-all (a sort-based groupby shuffle measured a
    ~15 s serial component that capped scaling efficiency at ~0.5).
 B. **segments** — one task per partition: read exactly the files the phase-A
-   manifests attribute to it, sort, delta+varbyte encode with block-max
-   metadata, write atomically. Embarrassingly parallel; resumable per
+   manifests attribute to it, sort, delta+varbyte encode, write
+   atomically. Embarrassingly parallel; resumable per
    partition.
 C. **dictionary** — merge the per-partition term tables (vocabulary-sized,
    tiny next to the pairs) with a ``groupby(term)`` into the sorted global
@@ -182,7 +182,7 @@ def build_index(
 
     # ---- Phase B: per-partition segment build (no all-to-all) ----
     t0 = time.perf_counter()
-    builder = SegmentBuilder(index_dir, fp, cfg, N, avgdl)
+    builder = SegmentBuilder(index_dir, fp, cfg)
 
     def build_part_batch(batch: pa.Table) -> pa.Table:
         return builder(batch)

@@ -18,9 +18,9 @@ Plan (Ray-Data-first, resumable):
   ``part=p`` segment back to its pair stream (``read_segment_pairs`` —
   one vectorized varbyte decode per stream, NOT a per-term Python loop),
   recode onto the union term dictionary, lexsort by (term, doc), re-encode
-  with ``build_segment_tables`` under the merged global stats (N, avgdl),
-  write atomically with a lineage manifest keyed by the merge fingerprint
-  (a killed merge resumes, skipping finished partitions);
+  with ``build_segment_tables``, write atomically with a lineage manifest
+  keyed by the merge fingerprint (a killed merge resumes, skipping finished
+  partitions);
 - driver-side (vocabulary-sized): merge the per-partition dictionaries,
   recompute hot_df for the union of salted terms, write stats + meta;
   attribute sidecars are copied with a per-source prefix.
@@ -136,13 +136,11 @@ class _MergePart:
     """map_batches stage: one row = one partition to merge."""
 
     def __init__(self, sources: list[str], out_dir: str, fingerprint: str,
-                 cfg: IndexConfig, N: int, avgdl: float):
+                 cfg: IndexConfig):
         self.sources = sources
         self.out_dir = out_dir
         self.fingerprint = fingerprint
         self.cfg = cfg
-        self.N = N
-        self.avgdl = avgdl
 
     def merge_part(self, part: int) -> dict:
         seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
@@ -247,7 +245,7 @@ class _MergePart:
                     pa.array(np.empty(0, dtype=np.int32)),
                 )
         built = build_segment_tables(
-            codes, union_terms, docs, tfs, dls, self.N, self.avgdl, self.cfg,
+            codes, union_terms, docs, tfs, dls, self.cfg,
             positions=positions,
         )
         if with_pos:
@@ -338,7 +336,7 @@ def merge_indexes(
     # ---- segments: one task per partition ----
     t0 = time.perf_counter()
     mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
-    stage = _MergePart(sources, out_dir, fp, cfg, N, avgdl)
+    stage = _MergePart(sources, out_dir, fp, cfg)
 
     def merge_batch(batch: pa.Table) -> pa.Table:
         return stage(batch)
@@ -452,16 +450,14 @@ def merge_indexes(
 
 class _CompactPart:
     """map_batches stage: one row = one partition to compact (drop
-    tombstoned docs' pairs, re-encode under the post-delete stats)."""
+    tombstoned docs' pairs and re-encode)."""
 
     def __init__(self, index_dir: str, out_dir: str, fingerprint: str,
-                 cfg: IndexConfig, N: int, avgdl: float, deleted_ref):
+                 cfg: IndexConfig, deleted_ref):
         self.index_dir = index_dir
         self.out_dir = out_dir
         self.fingerprint = fingerprint
         self.cfg = cfg
-        self.N = N
-        self.avgdl = avgdl
         self.deleted_ref = deleted_ref  # ray.put'd sorted int64 array
 
     def compact_part(self, part: int) -> dict:
@@ -517,7 +513,7 @@ class _CompactPart:
         built = build_segment_tables(
             codes_new if len(tfs_k) else np.empty(0, np.int64),
             terms_kept if len(tfs_k) else [],
-            docs_k, tfs_k, dls_k, self.N, self.avgdl, self.cfg,
+            docs_k, tfs_k, dls_k, self.cfg,
             positions=positions,
         )
         if with_pos:
@@ -566,8 +562,8 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
        deleted docs' contributions.
     2. compact pass: one task per partition drops the deleted pairs
        (positions permute with their pairs on v4 segments), drops
-       now-empty terms, and re-encodes under the NEW global stats;
-       resumable via compact-fingerprint manifests.
+       now-empty terms, and re-encodes; the NEW global stats go to the
+       metadata; resumable via compact-fingerprint manifests.
 
     The result is rank- AND score-identical to a fresh build over the
     surviving corpus (pinned by tests) with one documented caveat: a
@@ -652,7 +648,7 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     # ---- compact pass: one task per partition ----
     t0 = time.perf_counter()
     mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
-    stage = _CompactPart(index_dir, out_dir, fp, cfg, N, avgdl, deleted_ref)
+    stage = _CompactPart(index_dir, out_dir, fp, cfg, deleted_ref)
     results = (
         parts_ds.map_batches(lambda b: stage(b), batch_size=1, batch_format="pyarrow")
         .take_all()
@@ -872,15 +868,13 @@ class _ReshardPart:
 
     def __init__(self, index_dir: str, out_dir: str, fingerprint: str,
                  cfg: IndexConfig, old_P: int, new_P: int,
-                 N: int, avgdl: float, salted: list[str], mode: str):
+                 salted: list[str], mode: str):
         self.index_dir = index_dir
         self.out_dir = out_dir
         self.fingerprint = fingerprint
         self.cfg = cfg  # already carries num_partitions = new_P
         self.old_P = old_P
         self.new_P = new_P
-        self.N = N
-        self.avgdl = avgdl
         self.salted = set(salted)
         self.mode = mode
 
@@ -906,7 +900,7 @@ class _ReshardPart:
     def _encode(self, part: int, union_terms, codes, docs, tfs, dls, positions):
         seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
         built = build_segment_tables(
-            codes, union_terms, docs, tfs, dls, self.N, self.avgdl, self.cfg,
+            codes, union_terms, docs, tfs, dls, self.cfg,
             positions=positions,
         )
         if self.cfg.store_positions:
@@ -1091,9 +1085,7 @@ def reshard_index(index_dir: str, out_dir: str, num_partitions: int) -> dict:
     ``h % new_P ≡ p (mod old_P)``, so a split is one task per OLD partition
     writing its k children, and a shrink is one task per NEW partition
     reading its k parents. Global stats (N, avgdl, df, hot_df) are
-    unchanged; the dictionary is copied; block-max bounds are re-derived
-    from each new segment's local df (local df <= global df keeps them
-    valid upper bounds, same argument as the build). Search over the
+    unchanged; the dictionary is copied. Search over the
     resharded index is rank- AND score-identical to the source (pinned by
     tests/test_reshard.py). Resumable via per-segment lineage manifests.
     """
@@ -1145,8 +1137,7 @@ def reshard_index(index_dir: str, out_dir: str, num_partitions: int) -> dict:
     n_tasks = old_P if mode == "split" else new_P
     parts_ds = ray.data.from_items([{"part": p} for p in range(n_tasks)])
     stage = _ReshardPart(
-        index_dir, out_dir, fp, new_cfg, old_P, new_P, N, avgdl,
-        sorted(hot_df), mode,
+        index_dir, out_dir, fp, new_cfg, old_P, new_P, sorted(hot_df), mode,
     )
     results = (
         parts_ds.map_batches(stage, batch_size=1, batch_format="pyarrow")

@@ -1606,13 +1606,20 @@ def extended_stats(sf_dir: str) -> ray.data.Dataset:
         v = batch.column("value").to_numpy(zero_copy_only=False)
         g = len(cats)
         n = np.bincount(codes, minlength=g)
-        # micro-unit integer quantization (see docstring): the bincount
-        # weights are exact integers < 2^53, so float64 accumulation of
-        # them is exact; the emitted partials are int64
+        # micro-unit integer quantization (see docstring), summed in int64:
+        # exact while no block partial can pass 2^63, i.e. every quantized
+        # value stays below 2^63 / rows
         qx = round_half_away(v * 1e6, 0)
         qxx = round_half_away(v * v * 1e6, 0)
-        sxq = np.bincount(codes, weights=qx, minlength=g).astype(np.int64)
-        sxxq = np.bincount(codes, weights=qxx, minlength=g).astype(np.int64)
+        if len(v) and qxx.max() >= 2.0**63 / len(v):
+            raise ValueError(
+                f"extended_stats: |value| up to {np.abs(v).max():g} overflows "
+                f"the int64 micro-unit sums of a {len(v)}-row block"
+            )
+        sxq = np.zeros(g, np.int64)
+        sxxq = np.zeros(g, np.int64)
+        np.add.at(sxq, codes, qx.astype(np.int64))
+        np.add.at(sxxq, codes, qxx.astype(np.int64))
         mn = np.full(g, np.inf)
         mx = np.full(g, -np.inf)
         np.minimum.at(mn, codes, v)

@@ -40,18 +40,18 @@ from distributed_text_search_ray.stages.index_stage import index_stage
 from distributed_text_search_ray.util import round_half_away
 
 
-def _query_rows(queries) -> pa.Table | ray.data.Dataset:
-    """(query_id, query) pairs as a typed table (a Dataset passes through):
-    typed even when empty, so an empty query list gets typed output."""
+def _query_rows(queries, columns=("query",)) -> pa.Table | ray.data.Dataset:
+    """(query_id, *strings) tuples as a typed table with an int64
+    ``query_id`` and one string column per name in ``columns`` (a Dataset
+    passes through): typed even when empty, so an empty query list gets
+    typed output."""
     if isinstance(queries, ray.data.Dataset):
         return queries
     queries = list(queries)
-    return pa.table(
-        {
-            "query_id": pa.array([int(q[0]) for q in queries], pa.int64()),
-            "query": pa.array([str(q[1]) for q in queries], pa.string()),
-        }
-    )
+    table = {"query_id": pa.array([int(q[0]) for q in queries], pa.int64())}
+    for i, name in enumerate(columns, 1):
+        table[name] = pa.array([str(q[i]) for q in queries], pa.string())
+    return pa.table(table)
 
 
 def _pattern_rows(patterns: Iterable[tuple[int, str, int]]) -> pa.Table:
@@ -79,12 +79,9 @@ def search_topk(
 
     - "taat": exhaustive term-at-a-time accumulation of the cached
       per-term BM25 contributions.
-    - "maxscore" (default): an alias of "taat". MaxScore candidate
-      pruning would skip no decode over cached contributions, only add
-      work.
-    - "wand": decode-skipping Block-Max MaxScore over the stored block
-      metadata; it helps when a query mixes rare terms with a Zipf-head
-      term, whose blocks without a candidate doc stay undecoded."""
+    - "maxscore" (default) and "wand": aliases of "taat". MaxScore and
+      Block-Max WAND pruning would skip no decode over cached
+      contributions, only add work; segments store no block metadata."""
     return index_stage(
         _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
         topk=topk, mode=mode,
@@ -1030,9 +1027,7 @@ class _MaskedView:
     bit-identical to its unrestricted score — the unrestricted ranking
     restricted to the surviving docs, the standard engine semantics (ES
     ``bool`` filter / must_not) and what the SQL oracle computes. Wraps
-    only what taat/maxscore touch; the block-decode ("wand") mode reads
-    segment blocks directly, so every executor with a masked view rejects
-    it."""
+    only what the TAAT scorers touch."""
 
     def __init__(self, view, ids_sorted: np.ndarray, keep: bool):
         self._view = view
@@ -1187,10 +1182,9 @@ def prefix_term_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Wildcard ``prefix*`` term stats for (query_id, prefix) pairs."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
     return index_stage(
-        items, ExpansionCountExecutor, index_dir, batch_size=64,
-        concurrency=concurrency, kind="prefix",
+        _query_rows(prefixes, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, concurrency=concurrency, kind="prefix",
     )
 
 
@@ -1222,10 +1216,9 @@ def wildcard_term_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """General wildcard (``*``/``?``) term stats for (query_id, pattern)."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, ExpansionCountExecutor, index_dir, batch_size=64,
-        concurrency=concurrency, kind="wildcard",
+        _query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, concurrency=concurrency, kind="wildcard",
     )
 
 
@@ -1236,10 +1229,9 @@ def wildcard_topk_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked retrieval over the wildcard-expanded term set."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, ExpansionTopkExecutor, index_dir, batch_size=64, concurrency=concurrency,
-        kind="wildcard", topk=topk,
+        _query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        batch_size=64, concurrency=concurrency, kind="wildcard", topk=topk,
     )
 
 
@@ -1333,10 +1325,9 @@ def regexp_term_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Whole-term regexp term stats for (query_id, pattern) pairs."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, ExpansionCountExecutor, index_dir, batch_size=64,
-        concurrency=concurrency, kind="regexp",
+        _query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, concurrency=concurrency, kind="regexp",
     )
 
 
@@ -1347,10 +1338,9 @@ def regexp_topk_search(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked retrieval over the regexp-expanded term set."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in patterns]
     return index_stage(
-        items, ExpansionTopkExecutor, index_dir, concurrency=concurrency,
-        kind="regexp", topk=topk,
+        _query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        concurrency=concurrency, kind="regexp", topk=topk,
     )
 
 
@@ -1361,10 +1351,9 @@ def prefix_search_topk(
     concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked wildcard retrieval: top-k BM25 over each prefix's term set."""
-    items = [{"query_id": int(q), "prefix": str(p)} for q, p in prefixes]
     return index_stage(
-        items, ExpansionTopkExecutor, index_dir, concurrency=concurrency,
-        kind="prefix", topk=topk,
+        _query_rows(prefixes, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        concurrency=concurrency, kind="prefix", topk=topk,
     )
 
 
@@ -2383,13 +2372,9 @@ def search_topk_routed(
     member views cached across tasks, so a query stream that cycles through
     more members than that reopens them (sort or split it by route to
     avoid the churn)."""
-    if not isinstance(queries, ray.data.Dataset):
-        queries = [
-            {"query_id": int(q), "query": str(t), "route": str(r)} for q, t, r in queries
-        ]
     return index_stage(
-        queries, RoutedQueryExecutor, None, concurrency=concurrency, members=members,
-        topk=topk, mode=mode,
+        _query_rows(queries, ("query", "route")), RoutedQueryExecutor, None,
+        concurrency=concurrency, members=members, topk=topk, mode=mode,
     )
 
 

@@ -28,13 +28,11 @@ contract), so all modes are bit-identical (unit-tested):
   The top-k cut ``t`` is the k-th largest of every 16th accumulator slot:
   k slots score ``>= t``, so the k-th largest score is ``>= t`` and
   ``buf >= t`` keeps every top-k doc and every tie of the k-th — exact.
-- ``maxscore`` (pipeline default): an alias of ``taat``. MaxScore candidate
-  pruning (Turtle & Flood 1995) pays off only when it skips decode or I/O;
-  over cached contributions it skips neither.
-- ``wand``: Block-Max MaxScore driven by the stored per-block metadata —
-  non-essential (Zipf-head) terms decode only the byte-sliced blocks that
-  contain a candidate doc; wins when a query mixes rare terms with huge
-  posting lists.
+- ``maxscore`` (pipeline default) and ``wand``: aliases of ``taat``.
+  MaxScore candidate pruning (Turtle & Flood 1995) and Block-Max WAND
+  (Ding & Suel 2011) pay off only when they skip decode or I/O; over cached
+  contributions they skip neither, so segments store no per-block score
+  metadata.
 
 Term -> partition routing is pure hash (no shuffle): normal terms live in one
 partition; salted heavy terms are re-assembled from their salt buckets and
@@ -388,16 +386,6 @@ class IndexView:
             return self.hot_df[term]
         return self.reader(term_partition(term, self.cfg.num_partitions)).local_df(term)
 
-    def term_refs(self, term: str) -> list[SegmentReader]:
-        """Readers of every partition that actually holds the term (salted
-        terms span several; normal terms exactly one)."""
-        out = []
-        for p in self.term_parts(term):
-            r = self.reader(p)
-            if r.term_row(term) is not None:
-                out.append(r)
-        return out
-
     def bytes_decoded(self) -> int:
         """Total posting-stream bytes decoded across cached readers."""
         return sum(r.bytes_decoded for r in self._readers.values())
@@ -519,7 +507,6 @@ class QueryExecutor:
     ):
         self.view = as_view(index_dir)
         self.topk = topk
-        self.mode = mode
         self.min_should_match = int(min_should_match)
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
@@ -547,14 +534,12 @@ class QueryExecutor:
         return sorted(set(self.tokenizer.tokens(text)))
 
     def _score(self, terms: list[str], k: int, view=None) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k of the OR of ``terms`` under the executor's mode, over
-        ``view`` (default: the executor's own)."""
+        """Top-k of the OR of ``terms`` over ``view`` (default: the
+        executor's own). Every mode ("taat", and its aliases "maxscore" and
+        "wand") scores by TAAT; msm > 1 keeps only docs matching that many
+        distinct terms."""
         if self.min_should_match > 1:
-            # msm filtering needs per-doc match counts — TAAT only
             return self._score_taat_msm(terms, k, view)
-        if self.mode == "wand":
-            return self._score_wand(terms, k)
-        # "maxscore" (the pipeline default) is an alias of taat
         return self._score_taat(terms, k, view=view)
 
     # ---- term-at-a-time (vectorized, deterministic accumulation order) ----
@@ -655,117 +640,6 @@ class QueryExecutor:
         cand = np.flatnonzero(buf >= t) if t > 0.0 else np.flatnonzero(buf > 0.0)
         return _topk_rows(cand, buf[cand], k)
 
-    # ---- block-max pruned mode: decode-skipping Block-Max MaxScore ----
-    def _score_wand(self, terms: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-k via Block-Max MaxScore, driven by the STORED block
-        metadata — score/rank bit-identical to taat.
-
-        1. Term upper bounds come from the persisted ``block_max`` column
-           (no decode). Terms are decoded in ub-descending order only until
-           the kth-best single-term contribution (a lower bound theta on the
-           kth final score) exceeds the summed ub of the remaining terms —
-           those remaining terms are non-essential: no doc outside the
-           decoded (essential) lists can reach the top-k.
-        2. Candidates = docs of essential lists. Non-essential terms decode
-           ONLY the blocks containing a candidate (``block_last`` search ->
-           ``postings_blocks`` byte-sliced decode) — on Zipfian queries the
-           head term's postings stay almost entirely undecoded.
-        3. Scores accumulate per candidate in ascending-term order (adding
-           an exact 0.0 for non-matching terms), so float64 sums are
-           bit-identical to taat/the SQL oracle; `_topk_rows` keeps
-           boundary ties for the doc_id tie-break.
-
-        The per-pivot document-at-a-time WAND loop this replaces decoded
-        every posting up front — the stored skip metadata was dead weight
-        (round-1 verdict). Salted terms score each salt bucket's list
-        independently (a doc lives in exactly one bucket, so per-doc
-        accumulation order is unaffected); stored bounds use local df whose
-        idf >= the global-df idf applied here, so they remain upper bounds.
-        """
-        v = self.view
-        cfg = v.cfg
-        infos = []  # per live term, ascending term order
-        for term in terms:
-            df = v.term_df(term)
-            if df == 0:
-                continue
-            readers = v.term_refs(term)
-            if not readers:
-                continue
-            ub = 0.0
-            metas = []
-            for r in readers:
-                bm_, bl_ = r.block_meta(term)
-                if len(bm_):
-                    ub = max(ub, float(bm_.max()))
-                metas.append((r, bl_))
-            infos.append(
-                {"term": term, "w": bm25.idf(v.N, df), "metas": metas, "ub": ub}
-            )
-        if not infos:
-            return no_hits()
-
-        def full(i):
-            return v.term_contribs(infos[i]["term"])
-
-        ubs = np.array([inf["ub"] for inf in infos], dtype=np.float64)
-        order_desc = np.argsort(-ubs, kind="stable")
-        decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        best: dict[int, float] = {}  # doc -> best single-term contribution
-        non_essential: list[int] = []
-        for pos, i in enumerate(order_desc):
-            if len(best) >= k:
-                theta = np.partition(
-                    np.fromiter(best.values(), dtype=np.float64, count=len(best)),
-                    len(best) - k,
-                )[len(best) - k]
-                if float(ubs[order_desc[pos:]].sum()) < theta:
-                    non_essential = [int(j) for j in order_desc[pos:]]
-                    break
-            docs, contrib = full(int(i))
-            decoded[int(i)] = (docs, contrib)
-            kk = min(k, len(contrib))
-            if kk:
-                idx = (
-                    np.argpartition(-contrib, kk - 1)[:kk]
-                    if len(contrib) > kk
-                    else np.arange(len(contrib))
-                )
-                for d, c in zip(docs[idx].tolist(), contrib[idx].tolist()):
-                    if c > best.get(d, 0.0):
-                        best[d] = c
-        if not non_essential:
-            # every term decoded: straight taat accumulation (term order)
-            posts = [decoded[i] for i in range(len(infos))]
-            return self._accumulate([d for d, _ in posts], [c for _, c in posts], k)
-
-        cand = np.unique(np.concatenate([decoded[i][0] for i in decoded]))
-        scores = np.zeros(len(cand), dtype=np.float64)
-        ne = set(non_essential)
-        for i, inf in enumerate(infos):  # ascending term order (determinism)
-            if i not in ne:
-                docs, contrib = decoded[i]
-                pos_ = np.searchsorted(docs, cand)
-                pos_c = np.minimum(pos_, len(docs) - 1)
-                hit = docs[pos_c] == cand
-                np.add(scores, np.where(hit, contrib[pos_c], 0.0), out=scores)
-                continue
-            for r, bl_ in inf["metas"]:
-                if len(bl_) == 0:
-                    continue
-                bidx = np.searchsorted(bl_, cand, side="left")
-                sel = np.unique(bidx[bidx < len(bl_)])
-                got = r.postings_blocks(inf["term"], sel)
-                if got is None:
-                    continue
-                docs, tfs, dls = got
-                contrib = inf["w"] * bm25.tf_part(tfs, dls, v.avgdl, cfg.bm25_k1, cfg.bm25_b)
-                pos_ = np.searchsorted(docs, cand)
-                pos_c = np.minimum(pos_, len(docs) - 1)
-                hit = docs[pos_c] == cand
-                np.add(scores, np.where(hit, contrib[pos_c], 0.0), out=scores)
-        return _topk_rows(cand, scores, k)
-
 
 class FederatedIndexView:
     """Cross-index search WITHOUT a physical merge (Elasticsearch
@@ -782,9 +656,8 @@ class FederatedIndexView:
     contract ``merge_indexes`` documents (merge.py:181).
 
     Exposes the subset of the IndexView surface the TAAT scorers consume
-    (N, avgdl, cfg, meta, term_postings, term_contribs); Block-Max WAND
-    needs per-index block metadata rebased to global stats and is not
-    offered.
+    (N, avgdl, cfg, meta, term_postings, term_contribs, term_dense). The
+    ``wand`` mode name, an alias of taat elsewhere, is not accepted here.
     """
 
     def __init__(self, index_dirs: list, max_cached_parts: int = 64):
@@ -859,8 +732,8 @@ class FederatedQueryExecutor(QueryExecutor):
     ):
         if mode == "wand":
             raise ValueError(
-                "wand needs per-index block metadata rebased to global "
-                "stats; use mode='taat' or 'maxscore' for federated search"
+                "federated search does not accept mode='wand'; use mode='taat' "
+                "or 'maxscore'"
             )
         super().__init__(FederatedIndexView(list(index_dirs)), topk, mode, min_should_match)
 

@@ -35,14 +35,10 @@ class SegmentBuilder:
         index_dir: str,
         fingerprint: str,
         cfg: IndexConfig,
-        N: int,
-        avgdl: float,
     ):
         self.index_dir = index_dir
         self.fingerprint = fingerprint
         self.cfg = cfg
-        self.N = N
-        self.avgdl = avgdl
 
     def build_part(
         self, part: int, files: list[str], row_groups: list[list[int]] | None = None
@@ -90,8 +86,8 @@ class SegmentBuilder:
             if positional:
                 positions = pa.array([], type=pa.list_(pa.int32()))
         built = build_segment_tables(
-            term_codes, term_strings, doc_ids, tfs, dls, self.N, self.avgdl,
-            self.cfg, positions=positions,
+            term_codes, term_strings, doc_ids, tfs, dls, self.cfg,
+            positions=positions,
         )
         if positional:
             terms_table, docs_b, tfs_b, dls_b, stats, pos_b = built

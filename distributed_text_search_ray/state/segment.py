@@ -4,17 +4,16 @@ One segment per term-hash partition. On disk (inside ``part=NNNNN/``):
 
 - ``terms.parquet`` — the partition's sorted term dictionary. Columns:
   ``term`` (sorted asc), ``df`` (local document frequency = list length),
-  ``doc_off``/``doc_nbytes``, ``tf_off``/``tf_nbytes``, ``dl_off``/``dl_nbytes``
-  (byte slices into the three streams), ``block_max`` (list<float64>,
-  per-block upper bound on the BM25 score — block-max metadata),
-  ``block_last`` (list<int64>, last doc_id per block, for skipping) and
-  ``block_doc_off``/``block_tf_off``/``block_dl_off`` (list<int64>, absolute
-  byte offset of each block's first posting in the corresponding stream —
-  what lets the query side decode ONLY the blocks it needs).
-  ``block_size`` rides in the parquet schema metadata.
-- ``docs.bin`` — delta + varbyte doc ids. Deltas restart at every BLOCK
-  boundary (first id of each block absolute), so a block is independently
-  decodable — the decode-skipping contract of block-max scoring.
+  ``cf`` (local collection frequency), ``doc_off``/``doc_nbytes``,
+  ``tf_off``/``tf_nbytes``, ``dl_off``/``dl_nbytes`` (byte slices into the
+  three streams), and ``pos_off``/``pos_nbytes`` when positions are stored.
+  No per-block score metadata: every scorer reads a term's whole list.
+  ``block_size`` rides in the parquet schema metadata. Indexes written
+  before the block metadata was dropped also carry five per-block list
+  columns (``block_*``); readers ignore them.
+- ``docs.bin`` — delta + varbyte doc ids. Deltas restart every
+  ``block_size`` postings within a term (that posting's id is stored
+  absolute), so the decoder needs the interval, not per-term metadata.
 - ``tfs.bin`` / ``dls.bin`` — varbyte term frequencies / document lengths.
   Embedding dl per posting trades space for never needing a doc->dl lookup
   table at query time (a doc-length table does not broadcast at 10^12-doc
@@ -23,9 +22,6 @@ One segment per term-hash partition. On disk (inside ``part=NNNNN/``):
 
 All encoding is vectorized: one ``varbyte_encode`` call per stream for the
 whole partition, with per-term byte offsets derived from the width cumsum.
-Block-max scores use the *local* df; local idf >= global idf for salted terms
-(df_local <= df_global), so stored bounds remain valid upper bounds when the
-executor scores with exact global df.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from distributed_text_search_ray.config import IndexConfig
-from distributed_text_search_ray.functions import bm25
 from distributed_text_search_ray.functions.codec import (
     segmented_delta_decode,
     segmented_delta_encode,
@@ -51,14 +46,23 @@ STREAMS = ("docs.bin", "tfs.bin", "dls.bin")
 POS_STREAM = "pos.bin"  # v4 optional positional stream
 
 
+def _delta_restarts(df: np.ndarray, block_size: int) -> np.ndarray:
+    """Pair index of every doc-id delta restart in a stream of terms stored
+    back to back with ``df`` postings each: a term's first posting and
+    every ``block_size``-th one after it."""
+    n_blocks = (df + block_size - 1) // block_size
+    first = np.cumsum(n_blocks) - n_blocks
+    term = np.repeat(np.arange(len(df)), n_blocks)
+    within = np.arange(len(term), dtype=np.int64) - first[term]
+    return (np.cumsum(df) - df)[term] + within * block_size
+
+
 def build_segment_tables(
     term_codes: np.ndarray,
     term_strings,
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
-    N: int,
-    avgdl: float,
     cfg: IndexConfig,
     positions: "pa.ListArray | pa.ChunkedArray | None" = None,
 ) -> tuple:
@@ -89,11 +93,6 @@ def build_segment_tables(
                 "tf_nbytes": pa.array([], type=pa.int64()),
                 "dl_off": pa.array([], type=pa.int64()),
                 "dl_nbytes": pa.array([], type=pa.int64()),
-                "block_max": pa.array([], type=pa.list_(pa.float64())),
-                "block_last": pa.array([], type=pa.list_(pa.int64())),
-                "block_doc_off": pa.array([], type=pa.list_(pa.int64())),
-                "block_tf_off": pa.array([], type=pa.list_(pa.int64())),
-                "block_dl_off": pa.array([], type=pa.list_(pa.int64())),
             }
         )
         stats0 = {"n_terms": 0, "n_postings": 0, "sum_tf": 0, "max_doc_id": -1}
@@ -115,48 +114,21 @@ def build_segment_tables(
     df = np.diff(np.concatenate((starts, [n])))
     uniq_terms = [term_strings[c] for c in codes[starts]]
 
-    # block structure first (blocks of cfg.block_size postings within each
-    # term): doc-id deltas restart at every block so the query side can
-    # decode any block independently
-    B = cfg.block_size
-    n_blocks = (df + B - 1) // B
-    block_offsets = np.concatenate(([0], np.cumsum(n_blocks)))
-    block_term = np.repeat(np.arange(len(starts)), n_blocks)
-    within = np.arange(block_offsets[-1], dtype=np.int64) - block_offsets[block_term]
-    block_starts = starts[block_term] + within * B
-    block_ends = np.minimum(block_starts + B, np.repeat(starts + df, n_blocks))
-
-    deltas = segmented_delta_encode(doc_ids, block_starts)
+    deltas = segmented_delta_encode(doc_ids, _delta_restarts(df, cfg.block_size))
     doc_stream, doc_w = varbyte_encode(deltas)
     tf_stream, tf_w = varbyte_encode(tfs.astype(np.uint64))
     dl_stream, dl_w = varbyte_encode(dls.astype(np.uint64))
 
-    def offsets(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(per-term byte offset, per-term nbytes, per-block byte offset)."""
+    def offsets(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(per-term byte offset, per-term nbytes)."""
         ends = np.cumsum(widths)
-        posting_starts = np.concatenate(([0], ends[:-1]))
-        term_off = posting_starts[starts]
+        term_off = np.concatenate(([0], ends[:-1]))[starts]
         term_end = ends[np.concatenate((starts[1:] - 1, [n - 1]))]
-        return term_off, term_end - term_off, posting_starts[block_starts]
+        return term_off, term_end - term_off
 
-    doc_off, doc_nb, block_doc_off = offsets(doc_w)
-    tf_off, tf_nb, block_tf_off = offsets(tf_w)
-    dl_off, dl_nb, block_dl_off = offsets(dl_w)
-    # per-posting local score: idf(local df) * tf saturation. idf uses
-    # math.log per term (not np.log, which can differ by 1 ulp) so stored
-    # block maxima are bit-identical upper bounds of query-time scores.
-    import math
-
-    tfpart = bm25.tf_part(tfs, dls, avgdl, cfg.bm25_k1, cfg.bm25_b)
-    idf_per_term = np.fromiter(
-        (math.log(1.0 + (N - int(d) + 0.5) / (int(d) + 0.5)) for d in df),
-        dtype=np.float64,
-        count=len(df),
-    )
-    scores = np.repeat(idf_per_term, df) * tfpart
-    block_max = np.maximum.reduceat(scores, block_starts) if len(block_starts) else np.empty(0)
-    block_last = doc_ids[block_ends - 1] if len(block_ends) else np.empty(0, np.int64)
-    block_offsets = block_offsets.astype(np.int32)
+    doc_off, doc_nb = offsets(doc_w)
+    tf_off, tf_nb = offsets(tf_w)
+    dl_off, dl_nb = offsets(dl_w)
 
     pos_stream = None
     pos_off = pos_nb = None
@@ -201,21 +173,6 @@ def build_segment_tables(
             "tf_nbytes": pa.array(tf_nb, type=pa.int64()),
             "dl_off": pa.array(dl_off, type=pa.int64()),
             "dl_nbytes": pa.array(dl_nb, type=pa.int64()),
-            "block_max": pa.ListArray.from_arrays(
-                pa.array(block_offsets), pa.array(block_max, type=pa.float64())
-            ),
-            "block_last": pa.ListArray.from_arrays(
-                pa.array(block_offsets), pa.array(block_last, type=pa.int64())
-            ),
-            "block_doc_off": pa.ListArray.from_arrays(
-                pa.array(block_offsets), pa.array(block_doc_off, type=pa.int64())
-            ),
-            "block_tf_off": pa.ListArray.from_arrays(
-                pa.array(block_offsets), pa.array(block_tf_off, type=pa.int64())
-            ),
-            "block_dl_off": pa.ListArray.from_arrays(
-                pa.array(block_offsets), pa.array(block_dl_off, type=pa.int64())
-            ),
         }
     )
     if positions is not None:
@@ -298,13 +255,7 @@ def read_segment_pairs(
             return terms, df, z, z, z, z.copy()
         return terms, df, z, z, z
     deltas = varbyte_decode(streams["docs.bin"], count=total)
-    starts = np.concatenate(([0], np.cumsum(df)[:-1]))
-    n_blocks = (df + B - 1) // B
-    block_offsets = np.concatenate(([0], np.cumsum(n_blocks)))
-    block_term = np.repeat(np.arange(len(df)), n_blocks)
-    within = np.arange(block_offsets[-1], dtype=np.int64) - block_offsets[block_term]
-    block_starts = starts[block_term] + within * B
-    doc_ids = segmented_delta_decode(deltas, block_starts)
+    doc_ids = segmented_delta_decode(deltas, _delta_restarts(df, B))
     tfs = varbyte_decode(streams["tfs.bin"], count=total).astype(np.int64)
     dls = varbyte_decode(streams["dls.bin"], count=total).astype(np.int64)
     if with_positions:
@@ -345,8 +296,8 @@ class SegmentReader:
         self._n_terms = t.num_rows
         self._row_memo: dict[str, int | None] = {}
         self._streams = {}
-        # posting-stream bytes fed to varbyte_decode (diagnostic: shows how
-        # much decode block-max scoring skipped relative to a full scan)
+        # posting-stream bytes fed to varbyte_decode (diagnostic: what a
+        # query's cache misses cost in decode)
         self.bytes_decoded = 0
         names = list(STREAMS)
         self.has_positions = os.path.exists(os.path.join(seg_dir, POS_STREAM))
@@ -398,7 +349,7 @@ class SegmentReader:
             self._streams["docs.bin"][row["doc_off"] : row["doc_off"] + row["doc_nbytes"]],
             count=df,
         )
-        # deltas restart at every block boundary
+        # deltas restart every block_size postings
         B = self.block_size
         nb = (df + B - 1) // B
         doc_ids = segmented_delta_decode(deltas, np.arange(nb, dtype=np.int64) * B)
@@ -409,44 +360,6 @@ class SegmentReader:
             self._streams["dls.bin"][row["dl_off"] : row["dl_off"] + row["dl_nbytes"]], count=df
         ).astype(np.int64)
         return doc_ids, tfs, dls
-
-    def postings_blocks(
-        self, term: str, sel: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(doc_ids, tfs, dls) of the SELECTED blocks only (sorted block
-        indices) — decodes just those blocks' byte ranges. The decode-skip
-        path of block-max scoring."""
-        i = self.term_row(term)
-        if i is None or len(sel) == 0:
-            return None
-        cols = self._terms
-        df = cols.column("df")[i].as_py()
-        b_doc = np.asarray(cols.column("block_doc_off")[i].as_py(), dtype=np.int64)
-        b_tf = np.asarray(cols.column("block_tf_off")[i].as_py(), dtype=np.int64)
-        b_dl = np.asarray(cols.column("block_dl_off")[i].as_py(), dtype=np.int64)
-        nb = len(b_doc)
-        B = self.block_size
-        ends = {
-            "doc": cols.column("doc_off")[i].as_py() + cols.column("doc_nbytes")[i].as_py(),
-            "tf": cols.column("tf_off")[i].as_py() + cols.column("tf_nbytes")[i].as_py(),
-            "dl": cols.column("dl_off")[i].as_py() + cols.column("dl_nbytes")[i].as_py(),
-        }
-        out_d, out_t, out_l = [], [], []
-        for b in np.asarray(sel, dtype=np.int64):
-            cnt = B if b < nb - 1 else df - (nb - 1) * B
-            de = b_doc[b + 1] if b + 1 < nb else ends["doc"]
-            te = b_tf[b + 1] if b + 1 < nb else ends["tf"]
-            le = b_dl[b + 1] if b + 1 < nb else ends["dl"]
-            self.bytes_decoded += int(de - b_doc[b]) + int(te - b_tf[b]) + int(le - b_dl[b])
-            deltas = varbyte_decode(self._streams["docs.bin"][b_doc[b] : de], count=cnt)
-            out_d.append(np.cumsum(deltas.astype(np.int64)))  # first id absolute
-            out_t.append(varbyte_decode(self._streams["tfs.bin"][b_tf[b] : te], count=cnt))
-            out_l.append(varbyte_decode(self._streams["dls.bin"][b_dl[b] : le], count=cnt))
-        return (
-            np.concatenate(out_d),
-            np.concatenate(out_t).astype(np.int64),
-            np.concatenate(out_l).astype(np.int64),
-        )
 
     def positions(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(doc_ids, tfs, flat_positions) for a term — positions are grouped
@@ -472,12 +385,3 @@ class SegmentReader:
         restarts = np.concatenate(([0], np.cumsum(tfs)[:-1])).astype(np.int64)
         pos = segmented_delta_decode(deltas, restarts)
         return doc_ids, tfs, pos
-
-    def block_meta(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(block_max_scores, block_last_docids) for block-max scoring."""
-        i = self.term_row(term)
-        if i is None:
-            return None
-        bm = np.asarray(self._terms.column("block_max")[i].as_py(), dtype=np.float64)
-        bl = np.asarray(self._terms.column("block_last")[i].as_py(), dtype=np.int64)
-        return bm, bl

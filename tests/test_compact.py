@@ -150,3 +150,55 @@ def test_compact_positional_index_phrase_parity(code_corpus, tmp_path):
         tuple(r.values()) for r in phrase_search_positional(out, phrases).take_all()
     )
     assert a == b
+
+
+def _add_block_columns(index_dir):
+    """Give every terms.parquet the five per-block list columns that
+    segments carried before they stopped writing block metadata (one
+    entry per ``block_size`` postings of each term)."""
+    import numpy as np
+    import pyarrow as pa
+
+    seg_root = os.path.join(index_dir, "segments")
+    for part in sorted(os.listdir(seg_root)):
+        path = os.path.join(seg_root, part, "terms.parquet")
+        t = pq.read_table(path)
+        B = int(t.schema.metadata[b"block_size"])
+        n = (t.column("df").to_numpy() + B - 1) // B
+        offsets = pa.array(np.concatenate(([0], np.cumsum(n))), pa.int32())
+        for name, typ in (
+            ("block_max", pa.float64()),
+            ("block_last", pa.int64()),
+            ("block_doc_off", pa.int64()),
+            ("block_tf_off", pa.int64()),
+            ("block_dl_off", pa.int64()),
+        ):
+            values = pa.array(np.arange(n.sum()), pa.int64()).cast(typ)
+            t = t.append_column(name, pa.ListArray.from_arrays(offsets, values))
+        pq.write_table(t, path)
+    return seg_root
+
+
+def test_index_with_block_columns_reads_verifies_and_compacts(code_corpus, tmp_path):
+    """Indexes built while segments still wrote block metadata keep
+    working: identical search rows, a clean fsck, and a compaction."""
+    from distributed_text_search_ray.pipelines.merge import verify_index
+
+    corpus_dir, _ = code_corpus
+    fresh = str(tmp_path / "fresh")
+    build_index(corpus_dir, fresh, CFG)
+    old = str(tmp_path / "old")
+    shutil.copytree(fresh, old)
+    seg_root = _add_block_columns(old)
+    assert "block_max" in pq.read_schema(
+        os.path.join(seg_root, "part=00000", "terms.parquet")
+    ).names
+    for mode in ("taat", "wand"):
+        assert _results(old, mode) == _results(fresh, mode)
+    rep = verify_index(old, deep=True)
+    assert rep["ok"] and rep["errors"] == []
+    out = str(tmp_path / "old_c")
+    assert compact_index(old, out)["complete"]
+    assert _results(out) == _results(fresh)
+    names = pq.read_schema(os.path.join(out, "segments", "part=00000", "terms.parquet")).names
+    assert not [c for c in names if c.startswith("block_")]

@@ -1,7 +1,7 @@
 """One exact BM25 scorer per doc-id layout.
 
-Every full-OR mode — taat, its alias maxscore, and wand once no term is
-skippable — adds the per-generation cached contributions
+Every full-OR mode — taat and its aliases maxscore and wand — adds the
+per-generation cached contributions
 (``IndexView.term_contribs``) per doc: on dense doc ids (0..N) into one dense
 accumulator, on sparse fingerprint ids through a sorted segmented sum. Either way
 the ranked rows are bit-identical across modes and to the oracle, and a
@@ -129,7 +129,7 @@ def test_modes_bit_identical_on_sparse_ids(sparse):
     want = QueryExecutor(view, topk=5, mode="taat")(_batch(_queries())).to_pylist()
     assert want
     for mode in ("maxscore", "wand"):
-        assert QueryExecutor(view, topk=5)(_batch(_queries())).to_pylist() == want
+        assert QueryExecutor(view, topk=5, mode=mode)(_batch(_queries())).to_pylist() == want
 
 
 @pytest.mark.parametrize("topk", [3, 10, 10_000])

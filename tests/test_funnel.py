@@ -366,6 +366,41 @@ def test_source_diversity_vs_python():
     assert rows["boiler"][2] == float(round_half_away(5 / 11, 6))
 
 
+def test_extended_stats_partials_exact_past_2_53(tmp_path):
+    """A block's micro-unit Σx² partial past 2^53 (where float64 stops
+    holding every integer) still sums exactly: one value whose quantized
+    square is ~2^54, then small values whose quantized squares (1 each)
+    a float64 running sum would drop. The output equals Python integer
+    sums of the same quantized values."""
+    import numpy as np
+
+    from distributed_text_search_ray.pipelines.relational import extended_stats
+    from distributed_text_search_ray.util import round_half_away
+
+    v = np.array([134217.728] + [0.001] * 199 + [1.5, 2.25])
+    types = ["a"] * 200 + ["b"] * 2
+    pq.write_table(
+        pa.table({"event_type": types, "value": v}), str(tmp_path / "events.parquet")
+    )
+    got = {r["event_type"]: r for r in extended_stats(str(tmp_path)).take_all()}
+    assert set(got) == {"a", "b"}
+    for t, row in got.items():
+        x = v[np.array(types) == t]
+        sx = sum(int(q) for q in round_half_away(x * 1e6, 0))
+        sxx = sum(int(q) for q in round_half_away(x * x * 1e6, 0))
+        assert row["n"] == len(x)
+        assert row["vsum"] == round_half_away(float(sx) / 1e6, 6)
+        assert row["sum_of_squares"] == round_half_away(float(sxx) / 1e6, 6)
+    assert sum(int(q) for q in round_half_away(v[:200] ** 2 * 1e6, 0)) > 2**53
+    # a value whose quantized square could overflow the int64 block sum
+    pq.write_table(
+        pa.table({"event_type": ["a", "a"], "value": [3.1e6, 1.0]}),
+        str(tmp_path / "events.parquet"),
+    )
+    with pytest.raises(Exception, match="overflows"):
+        extended_stats(str(tmp_path)).take_all()
+
+
 def test_extended_stats_matches_duckdb():
     import duckdb
 

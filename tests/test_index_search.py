@@ -103,54 +103,6 @@ def test_wand_and_maxscore_equal_taat(built_index):
         assert got == want, mode
 
 
-def test_wand_decodes_fewer_bytes_than_taat(tmp_path):
-    """The stored block metadata must actually SKIP decode: on a Zipfian
-    query (rare term + head term) block-max scoring decodes strictly fewer
-    posting-stream bytes than taat, with identical results."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    # 800 docs all containing the head term; 3 containing the rare term
-    n = 800
-    texts = [f"common filler{i % 7} pad{i % 13}" for i in range(n)]
-    for i in (17, 399, 641):
-        texts[i] += " rareterm"
-    corpus = tmp_path / "zipf"
-    corpus.mkdir()
-    pq.write_table(
-        pa.table(
-            {
-                "doc_id": pa.array(list(range(n)), type=pa.int64()),
-                "repo": pa.array(["r"] * n),
-                "path": pa.array([f"f{i}" for i in range(n)]),
-                "commit": pa.array(["c"] * n),
-                "lang": pa.array(["py"] * n),
-                "content": pa.array(texts),
-            }
-        ),
-        corpus / "shard_00000.parquet",
-    )
-    cfg = IndexConfig(num_partitions=4, salt_buckets=2, block_size=16)
-    index_dir = str(tmp_path / "idx")
-    build_index(str(corpus), index_dir, cfg)
-    batch = pa.table(
-        {
-            "query_id": pa.array([0], type=pa.int64()),
-            "query": pa.array(["rareterm common"], type=pa.string()),
-        }
-    )
-    spent = {}
-    results = {}
-    for mode in ("taat", "wand"):
-        ex = QueryExecutor(index_dir, topk=2, mode=mode)  # fresh readers/cache
-        results[mode] = ex(batch).to_pylist()
-        spent[mode] = ex.view.bytes_decoded()
-    assert results["wand"] == results["taat"]
-    # 'common' has 800 postings in 16-posting blocks; only the <=3 blocks
-    # holding a rareterm doc may decode
-    assert 0 < spent["wand"] < spent["taat"] // 2, spent
-
-
 def test_postings_roundtrip_and_salting(built_index):
     corpus_dir, index_dir, _ = built_index
     docs = corpus_docs(corpus_dir)
@@ -173,32 +125,6 @@ def test_empty_and_unknown_queries(built_index):
     _, index_dir, _ = built_index
     got = search_topk(index_dir, [(0, "zzzz qqqq"), (1, "")], topk=5).take_all()
     assert got == []
-
-
-def test_block_max_metadata_is_valid_upper_bound(built_index):
-    corpus_dir, index_dir, _ = built_index
-    view = IndexView(index_dir)
-    import math
-
-    for part in range(CFG.num_partitions):
-        r = view.reader(part)
-        t = r.terms_table
-        for i, term in enumerate(t.column("term").to_pylist()[:50]):
-            d, tf, dl, df_global = view.term_postings(term)
-            local = r.postings(term)
-            assert local is not None
-            ld, ltf, ldl = local
-            df_local = len(ld)
-            idf_local = math.log(1.0 + (view.N - df_local + 0.5) / (df_local + 0.5))
-            from distributed_text_search_ray.functions import bm25
-
-            scores = idf_local * bm25.tf_part(ltf, ldl, view.avgdl, CFG.bm25_k1, CFG.bm25_b)
-            bm, bl = r.block_meta(term)
-            B = CFG.block_size
-            for b in range(len(bm)):
-                blk = scores[b * B : (b + 1) * B]
-                assert bm[b] == pytest.approx(blk.max(), rel=0, abs=0)
-                assert bl[b] == ld[min((b + 1) * B, len(ld)) - 1]
 
 
 def test_driver_documents_table(tmp_path):

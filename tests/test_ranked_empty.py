@@ -212,6 +212,7 @@ def test_ranked_operators_emit_typed_empty_output(fx, case):
 
 
 FUZZY_INPUT = pa.schema([("query_id", pa.int64()), ("pattern", pa.string()), ("k", pa.int64())])
+EXPANSION_INPUT = pa.schema([("query_id", pa.int64()), ("prefix", pa.string())])
 EMPTY_LISTS = {
     "search_topk": (lambda fx: s.search_topk(fx.idx, []), lambda fx: TOPK_SCHEMA),
     "filtered": (
@@ -223,6 +224,28 @@ EMPTY_LISTS = {
         lambda fx: s.fuzzy_term_search(fx.idx, []),
         lambda fx: s.FuzzyCountExecutor(fx.idx)(FUZZY_INPUT.empty_table()).schema,
     ),
+    "routed": (lambda fx: s.search_topk_routed({"a": fx.idx}, []), lambda fx: TOPK_SCHEMA),
+    **{
+        name: (lambda fx, op=op: op(fx.idx, []), lambda fx: TOPK_SCHEMA)
+        for name, op in (
+            ("prefix_topk", s.prefix_search_topk),
+            ("wildcard_topk", s.wildcard_topk_search),
+            ("regexp_topk", s.regexp_topk_search),
+        )
+    },
+    **{
+        name: (
+            lambda fx, op=op: op(fx.idx, []),
+            lambda fx, kind=kind: s.ExpansionCountExecutor(fx.idx, kind)(
+                EXPANSION_INPUT.empty_table()
+            ).schema,
+        )
+        for name, op, kind in (
+            ("prefix_terms", s.prefix_term_search, "prefix"),
+            ("wildcard_terms", s.wildcard_term_search, "wildcard"),
+            ("regexp_terms", s.regexp_term_search, "regexp"),
+        )
+    },
 }
 
 
