@@ -14,8 +14,17 @@ Two distinct uses, mirroring the reference:
    per-document (windows do not cross document boundaries — documented model
    change, SURVEY.md section 8.3).
 
-2. **Term-dictionary fuzzy expansion** — standard (untruncated) Levenshtein
-   between a query pattern and candidate dictionary terms, banded at ``k``.
+2. **Term-dictionary fuzzy expansion** — standard (untruncated) Levenshtein,
+   or OSA with ``transpositions``, between query patterns and dictionary
+   terms, banded at ``k``. The whole pattern set is answered in one call, as
+   the reference answers its pattern list in one pass
+   (``src/flexible_mpi.c:549-565``): :func:`term_distances_many` groups the
+   patterns by (length m, k), gathers each group's length band
+   ``[m - k, m + k]`` from a :class:`TermStore` (the terms' codepoints
+   sorted by length, flat and unpadded: characters x dtype width + 4 bytes
+   per term + 16 per length resident), and runs one banded DP over the
+   group's (pattern, band-term) lanes, in chunks of at most
+   ``_LANE_BUDGET // (m + L + 1)`` lanes for a band of longest length L.
 
 Both are vectorized with numpy: the DP loops run over the (small) pattern
 dimensions while every position/term is processed as one vector lane. Strings
@@ -45,7 +54,8 @@ import numpy as np
 _CHUNK = 1 << 16
 # (pattern, window) lanes x (m + 1) per filter-and-verify text chunk: bounds
 # the filter's (G, chunk) bool lanes and, when every pair is a candidate,
-# the verify DP's gathered windows
+# the verify DP's gathered windows; the term kernel's (pattern, term) lanes
+# x (m + L + 1) per DP chunk
 _LANE_BUDGET = 1 << 21
 
 
@@ -346,72 +356,14 @@ def windowed_match_count_many(texts: list[str], pattern: str, k: int) -> int:
     return windowed_match_counts_multi(texts, [(0, pattern, k)])[0]
 
 
-def bounded_term_distances(pattern: str, terms: list[str], k: int) -> np.ndarray:
-    """Standard Levenshtein distance between ``pattern`` and each term,
-    vectorized across terms, capped at k+1.
-
-    Callers should pre-filter terms to the length band
-    ``abs(len(t) - len(pattern)) <= k`` (anything outside is > k by the length
-    lower bound); this function still returns correct capped values without
-    the pre-filter.
-    """
-    n = len(terms)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    m = len(pattern)
-    P = codepoints(pattern)
-    lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=n)
-    maxlen = int(lens.max()) if n else 0
-    dt = _dp_dtype(k, maxlen)
-    INF = dt(k + 1)
-    out = np.full(n, k + 1, dtype=np.int32)
-    if maxlen == 0:
-        out[:] = min(m, k + 1)
-        return out
-    # pad terms into a (n, maxlen) codepoint matrix
-    mat = np.zeros((n, maxlen), dtype=np.uint32)
-    for i, t in enumerate(terms):
-        if t:
-            mat[i, : len(t)] = codepoints(t)
-    base = np.minimum(np.arange(m + 1, dtype=np.int64), k + 1).astype(dt)
-    prev = np.broadcast_to(base[:, None], (m + 1, n)).copy()
-    # terms of length 0: distance = m
-    done0 = lens == 0
-    if done0.any():
-        out[done0] = min(m, k + 1)
-    cur = np.empty_like(prev)
-    nb = np.empty(n, dtype=bool)
-    nb_u8 = nb.view(np.uint8)
-    t1 = np.empty(n, dtype=dt)
-    t2 = np.empty(n, dtype=dt)
-    for y in range(1, maxlen + 1):
-        cur.fill(INF)
-        cur[0] = min(y, k + 1)
-        wy = mat[:, y - 1]
-        lo = max(1, y - k)
-        hi = min(m, y + k)
-        for x in range(lo, hi + 1):
-            np.not_equal(P[x - 1], wy, out=nb)
-            np.add(prev[x - 1], nb_u8 if dt == np.uint8 else nb, out=t1)
-            np.add(prev[x], dt(1), out=t2)
-            np.minimum(t1, t2, out=t1)
-            np.add(cur[x - 1], dt(1), out=t2)
-            np.minimum(t1, t2, out=cur[x])
-        finished = lens == y
-        if finished.any():
-            out[finished] = cur[m][finished]
-        prev, cur = cur, prev
-    return np.minimum(out, k + 1)
-
-
 def osa_distance(a: str, b: str) -> int:
     """Optimal String Alignment (restricted Damerau-Levenshtein): plain
     Levenshtein plus ADJACENT TRANSPOSITION as one edit, with the OSA
     restriction that no substring is edited twice ("CA"->"ABC" is 3 here
-    but 2 under unrestricted Damerau). Reference implementation for tests
-    and the truncated-tail path; the vectorized kernel is
-    :func:`bounded_term_distances_osa`. This is the variant Lucene/
-    Elasticsearch use for ``fuzziness`` with transpositions."""
+    but 2 under unrestricted Damerau). Reference implementation for tests;
+    the vectorized kernel is :func:`term_distances_many` with
+    ``transpositions=True``. This is the variant Lucene/Elasticsearch use
+    for ``fuzziness`` with transpositions."""
     la, lb = len(a), len(b)
     if la == 0:
         return lb
@@ -436,65 +388,217 @@ def osa_distance(a: str, b: str) -> int:
     return prev[lb]
 
 
-def bounded_term_distances_osa(pattern: str, terms: list[str], k: int) -> np.ndarray:
-    """OSA (restricted Damerau-Levenshtein) distance between ``pattern``
-    and each term, vectorized across terms, capped at k+1 — the
-    transpositions=true sibling of :func:`bounded_term_distances` (same
-    banding, same dtype argument; one extra ``prev2`` row buffer feeds the
-    transposition term). The |len(t) - len(pattern)| <= k length band
-    remains valid: every OSA edit changes length by at most 1."""
-    n = len(terms)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    m = len(pattern)
-    P = codepoints(pattern)
-    lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=n)
-    maxlen = int(lens.max()) if n else 0
-    dt = _dp_dtype(k, maxlen)
+def _banded_term_pass(
+    tcols: np.ndarray, lens: np.ndarray, pcols: np.ndarray, k: int, transpositions: bool
+) -> np.ndarray:
+    """Vectorized banded DP over (pattern, term) lanes: the standard
+    (untruncated) distance between each lane's pattern and term, capped at
+    k+1. Levenshtein, or OSA when ``transpositions`` (one extra ``prev2``
+    row buffer feeds the adjacent-swap step).
+
+    ``tcols``: (L, W) codepoints, row y = character y of every lane's term.
+    A lane's distance is captured at outer step y == its term length, so
+    its columns at and past that length are never read and may hold
+    anything. ``lens``: (W,) term lengths, each within k of m (the lanes
+    of a length band). ``pcols``: (m,) one pattern for all lanes, or (m, W)
+    one per lane, of ``tcols``' dtype. Returns (W,) int32.
+
+    Per term character y, the band's cells x in ``[lo, hi]`` take their
+    diagonal, vertical (and transposition) candidates from the previous
+    rows in whole-band calls; only the horizontal chain ``D[x] =
+    min(D[x], D[x-1] + 1)`` runs cell by cell."""
+    L, W = tcols.shape
+    m = pcols.shape[0]
+    pc2 = pcols if pcols.ndim == 2 else pcols[:, None]
+    dt = _dp_dtype(k, L)
     INF = dt(k + 1)
-    out = np.full(n, k + 1, dtype=np.int32)
-    if maxlen == 0:
-        out[:] = min(m, k + 1)
-        return out
-    mat = np.zeros((n, maxlen), dtype=np.uint32)
-    for i, t in enumerate(terms):
-        if t:
-            mat[i, : len(t)] = codepoints(t)
+    one = dt(1)
+    out = np.full(W, k + 1, dtype=np.int32)
+    out[lens == 0] = min(m, k + 1)
     base = np.minimum(np.arange(m + 1, dtype=np.int64), k + 1).astype(dt)
-    prev = np.broadcast_to(base[:, None], (m + 1, n)).copy()
-    prev2 = np.empty_like(prev)  # row y-2; valid from the second y-step on
-    done0 = lens == 0
-    if done0.any():
-        out[done0] = min(m, k + 1)
+    prev = np.broadcast_to(base[:, None], (m + 1, W)).copy()  # D[x][0] = x
     cur = np.empty_like(prev)
-    nb = np.empty(n, dtype=bool)
-    nb_u8 = nb.view(np.uint8)
-    t1 = np.empty(n, dtype=dt)
-    t2 = np.empty(n, dtype=dt)
-    tr = np.empty(n, dtype=bool)
-    for y in range(1, maxlen + 1):
-        cur.fill(INF)
+    prev2 = np.empty_like(prev) if transpositions else None  # row y-2
+    nb = np.empty((2 * k + 1, W), dtype=bool)
+    sw = np.empty((2 * k + 1, W), dtype=bool)
+    tv = np.empty((2 * k + 1, W), dtype=dt)
+    for y in range(1, L + 1):
+        # cells outside [lo - 1, hi + 1] are never read: no full-row fill
+        lo, hi = max(1, y - k), min(m, y + k)
         cur[0] = min(y, k + 1)
-        wy = mat[:, y - 1]
-        wy_prev = mat[:, y - 2] if y > 1 else None
-        lo = max(1, y - k)
-        hi = min(m, y + k)
-        for x in range(lo, hi + 1):
-            np.not_equal(P[x - 1], wy, out=nb)
-            np.add(prev[x - 1], nb_u8 if dt == np.uint8 else nb, out=t1)
-            np.add(prev[x], dt(1), out=t2)
-            np.minimum(t1, t2, out=t1)
-            np.add(cur[x - 1], dt(1), out=t2)
-            np.minimum(t1, t2, out=t1)
-            if x > 1 and y > 1:
-                # transposition: P[x-1]==w[y-2] and P[x-2]==w[y-1]
-                np.equal(P[x - 1], wy_prev, out=tr)
-                np.logical_and(tr, P[x - 2] == wy, out=tr)
-                np.add(prev2[x - 2], dt(1), out=t2)
-                np.minimum(t1, np.where(tr, t2, INF).astype(dt), out=t1)
-            cur[x] = t1
-        finished = lens == y
-        if finished.any():
-            out[finished] = cur[m][finished]
-        prev2, prev, cur = prev, cur, prev2
+        if lo <= hi:
+            n = hi - lo + 1
+            band, ne = cur[lo : hi + 1], nb[:n]
+            # zero-alloc steps (see _dp_dtype for the no-cap argument)
+            np.not_equal(pc2[lo - 1 : hi], tcols[y - 1], out=ne)
+            np.add(prev[lo - 1 : hi], ne.view(np.uint8) if dt == np.uint8 else ne, out=band)
+            np.add(prev[lo : hi + 1], one, out=tv[:n])
+            np.minimum(band, tv[:n], out=band)
+            a = max(lo, 2)
+            if transpositions and y > 1 and a <= hi:
+                # adjacent swap: P[x-1] == w[y-2] and P[x-2] == w[y-1]
+                c = hi - a + 1
+                np.equal(pc2[a - 1 : hi], tcols[y - 2], out=sw[:c])
+                np.equal(pc2[a - 2 : hi - 1], tcols[y - 1], out=ne[:c])
+                sw[:c] &= ne[:c]
+                np.add(prev2[a - 2 : hi - 1], one, out=tv[:c])
+                np.minimum(cur[a : hi + 1], tv[:c], out=cur[a : hi + 1], where=sw[:c])
+            if lo == 1:
+                np.minimum(cur[1], dt(min(y, k + 1) + 1), out=cur[1])
+            for x in range(lo + 1, hi + 1):
+                np.add(cur[x - 1], one, out=tv[0])
+                np.minimum(cur[x], tv[0], out=cur[x])
+        if hi < m:
+            cur[hi + 1] = INF  # read as D[hi+1] by the next step
+        if lo <= m <= hi or m == 0:
+            finished = lens == y
+            if finished.any():
+                out[finished] = cur[m][finished]
+        if transpositions:
+            prev2, prev, cur = prev, cur, prev2
+        else:
+            prev, cur = cur, prev
+    # re-clamp drifted >k values to the documented k+1 cap
     return np.minimum(out, k + 1)
+
+
+def _lane_distances(
+    tcols: np.ndarray, lens: np.ndarray, P: np.ndarray, k: int, transpositions: bool
+) -> np.ndarray:
+    """(G, B) capped distances of the G patterns ``P`` (G, m) against the B
+    terms of ``tcols`` (L, B) / ``lens`` (B,): one banded DP over the G * B
+    (pattern, term) lanes, pattern-major, in chunks of at most ``_LANE_BUDGET
+    // (m + L + 1)`` lanes (DP rows plus term columns). A chunk is either
+    whole patterns (the band tiled once per pattern) or one pattern's slice
+    of a band longer than a chunk (compared against a scalar per cell)."""
+    G, m = P.shape
+    L, B = tcols.shape
+    if P.size and int(P.max()) > np.iinfo(tcols.dtype).max:
+        tcols = tcols.astype(P.dtype)  # a pattern char no term can hold
+    PT = np.ascontiguousarray(P.T.astype(tcols.dtype))  # (m, G): row x = char x
+    out = np.empty((G, B), dtype=np.int32)
+    chunk = max(1, _LANE_BUDGET // (m + L + 1))
+    if B > chunk:
+        for g in range(G):
+            for s in range(0, B, chunk):
+                e = min(B, s + chunk)
+                out[g, s:e] = _banded_term_pass(
+                    tcols[:, s:e], lens[s:e], PT[:, g], k, transpositions
+                )
+        return out
+    per = chunk // B
+    for g in range(0, G, per):
+        h = min(G, g + per)
+        if h - g == 1:
+            d = _banded_term_pass(tcols, lens, PT[:, g], k, transpositions)
+        else:
+            tc, ln = np.tile(tcols, (1, h - g)), np.tile(lens, h - g)
+            d = _banded_term_pass(tc, ln, np.repeat(PT[:, g:h], B, axis=1), k, transpositions)
+        out[g:h] = d.reshape(h - g, B)
+    return out
+
+
+class TermStore:
+    """Codepoints of a term list, sorted by length, for batched expansion.
+
+    The sort is stable (terms of one length keep their input order), so the
+    terms of a length band ``[lo, hi]`` are one contiguous range of store
+    positions, and the terms of one length L are one dense (count, L) block
+    of the flat buffer: no row is padded to the longest term.
+
+    - ``codes``: every term's codepoints end to end, in store order, in the
+      narrowest unsigned dtype that holds the largest codepoint;
+    - ``order``: the input index of each store position (int32 below 2**31
+      terms);
+    - ``start[L]`` / ``base[L]``: the first store position / buffer offset
+      of the terms of length >= L, for L in 0..longest+1.
+
+    Resident bytes: characters x dtype width + 4 per term + 16 per length
+    up to the longest term. :meth:`band` gathers a band's padded (L, B)
+    column matrix with one fancy index, only while a group needs it.
+    """
+
+    def __init__(self, terms: list[str]):
+        n = len(terms)
+        lens = np.fromiter(map(len, terms), dtype=np.int64, count=n)
+        flat = codepoints("".join(terms))
+        self.order = np.argsort(lens, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
+        slens = lens[self.order]
+        src = (np.cumsum(lens) - lens)[self.order]
+        dst = np.cumsum(slens) - slens
+        top = int(flat.max()) if flat.size else 0
+        dt = np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.uint32
+        self.codes = flat[np.repeat(src - dst, slens) + np.arange(flat.size)].astype(dt)
+        self.start = np.searchsorted(slens, np.arange((int(slens[-1]) if n else 0) + 2))
+        self.base = np.append(dst, flat.size)[self.start]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.codes, self.order, self.start, self.base))
+
+    def band(self, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(s, tcols, lens)`` for the terms of length in ``[lo, hi]``:
+        store positions ``s .. s + B``, their (L, B) column matrix (row y =
+        character y of each term, L the band's longest length; a term's
+        columns past its own length hold other terms' characters) and
+        their (B,) lengths."""
+        lo, hi = max(lo, 0), min(hi, self.start.size - 2)
+        if lo > hi:
+            return 0, np.empty((0, 0), self.codes.dtype), np.empty(0, np.int64)
+        s, e = int(self.start[lo]), int(self.start[hi + 1])
+        lens = np.repeat(np.arange(lo, hi + 1), np.diff(self.start[lo : hi + 2]))
+        first = self.base[lens] + (np.arange(s, e) - self.start[lens]) * lens
+        L = int(lens[-1]) if e > s else 0
+        idx = first[None, :] + np.arange(L)[:, None]
+        return s, self.codes[np.minimum(idx, self.codes.size - 1)], lens
+
+
+def term_distances_many(
+    store: TermStore, patterns: list[tuple[str, int]], transpositions: bool = False
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each ``(pattern, k)``: the ascending store positions of the
+    terms within distance k (Levenshtein, or OSA with ``transpositions``)
+    and their distances.
+
+    Patterns are grouped by (length m, k). A group gathers its length band
+    ``[m - k, m + k]`` once (anything outside is > k by the length lower
+    bound, which holds for OSA too: every edit changes the length by at
+    most 1) and runs one banded DP over its (pattern, band-term) lanes
+    (:func:`_lane_distances`)."""
+    patterns = list(patterns)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (p, k) in enumerate(patterns):
+        groups.setdefault((len(p), int(k)), []).append(i)
+    out: list[tuple[np.ndarray, np.ndarray]] = [None] * len(patterns)
+    for (m, k), rows in groups.items():
+        s, tcols, lens = store.band(m - k, m + k)
+        if not lens.size:
+            for i in rows:
+                out[i] = np.empty(0, np.int64), np.empty(0, np.int32)
+            continue
+        P = np.stack([codepoints(patterns[i][0]) for i in rows])
+        for i, d in zip(rows, _lane_distances(tcols, lens, P, k, transpositions)):
+            hit = np.flatnonzero(d <= k)
+            out[i] = hit + s, d[hit]
+    return out
+
+
+def bounded_term_distances(
+    pattern: str, terms: list[str], k: int, transpositions: bool = False
+) -> np.ndarray:
+    """Distance between ``pattern`` and each term (Levenshtein, or OSA with
+    ``transpositions``), capped at k+1: the one-pattern form of
+    :func:`term_distances_many` over a :class:`TermStore` of ``terms``
+    (one joined utf-32 encode, no per-term loop). Terms outside the length
+    band come out k+1 without entering the DP."""
+    out = np.full(len(terms), k + 1, dtype=np.int32)
+    store = TermStore(terms)
+    ((pos, d),) = term_distances_many(store, [(pattern, k)], transpositions)
+    out[store.order[pos]] = d
+    return out
+
+
+def bounded_term_distances_osa(pattern: str, terms: list[str], k: int) -> np.ndarray:
+    """OSA (restricted Damerau-Levenshtein) form of
+    :func:`bounded_term_distances`."""
+    return bounded_term_distances(pattern, terms, k, transpositions=True)

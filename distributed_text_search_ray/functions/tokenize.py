@@ -244,19 +244,3 @@ def batch_pairs_dict(
             )
         )
     return tuple(out)
-
-
-def pairs_table(
-    terms: np.ndarray,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-) -> pa.Table:
-    return pa.table(
-        {
-            "term": pa.array(terms, type=pa.string()),
-            "doc_id": pa.array(doc_ids, type=pa.int64()),
-            "tf": pa.array(tfs, type=pa.int64()),
-            "dl": pa.array(dls, type=pa.int64()),
-        }
-    )

@@ -201,13 +201,6 @@ def oracle_fuzzy_topk(
     return out
 
 
-def oracle_token_stats(docs: list[tuple[int, str]], analyzer=None) -> dict:
-    tk = Tokenizer(analyzer)
-    lens = {d: tk.token_count(t) for d, t in docs}
-    total = sum(lens.values())
-    return {"N": len(docs), "total_tokens": total, "avgdl": total / len(docs) if docs else 0.0, "doc_len": lens}
-
-
 def oracle_prefix_terms(
     docs: list[tuple[int, str]],
     prefixes: list[tuple[int, str]],

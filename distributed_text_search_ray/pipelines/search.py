@@ -25,7 +25,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from distributed_text_search_ray.functions.lev import bounded_term_distances
+# re-exported: benchmark tooling resolves the kernel under this module
+from distributed_text_search_ray.functions.lev import bounded_term_distances  # noqa: F401
 from distributed_text_search_ray.stages.executor import (
     TOPK_SCHEMA,
     DictionaryExpander,  # re-exported: callers import it from this module
@@ -602,6 +603,14 @@ def _first_token(tokenizer, raw: str) -> str:
     return toks[0] if toks else ""
 
 
+def _first_tokens(tokenizer, batch: pa.Table) -> list[tuple[str, int]]:
+    """(first token of the pattern, k) for each (pattern, k) row."""
+    return [
+        (_first_token(tokenizer, p), int(k))
+        for p, k in zip(batch.column("pattern").to_pylist(), batch.column("k").to_pylist())
+    ]
+
+
 def _live_term_stats(view, expander, qids: list, expansions: list[np.ndarray]) -> pa.Table:
     """(query_id, n_matching_terms, n_docs, n_occurrences) per query from
     the dictionary indices each query expanded to.
@@ -644,10 +653,8 @@ class FuzzyCountExecutor:
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        expansions = [
-            self.expander.expand(_first_token(self.tokenizer, p), int(k))
-            for p, k in zip(batch.column("pattern").to_pylist(), batch.column("k").to_pylist())
-        ]
+        expanded = self.expander.expand_many(_first_tokens(self.tokenizer, batch))
+        expansions = [idx for idx, _ in expanded]
         return _live_term_stats(
             self.view, self.expander, batch.column("query_id").to_pylist(), expansions
         )
@@ -674,9 +681,18 @@ class FuzzyTopkExecutor(QueryExecutor):
         self.expander = self.view.dictionary()
         self.transpositions = transpositions
 
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # the whole batch expands in one pass; rank() takes the rows' term
+        # sets in row order
+        self._expanded = iter(
+            self.expander.expand_many(
+                _first_tokens(self.tokenizer, batch), transpositions=self.transpositions
+            )
+        )
+        return super().__call__(batch)
+
     def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
-        p = _first_token(self.tokenizer, row["pattern"])
-        idxs = self.expander.expand(p, int(row["k"]), transpositions=self.transpositions)
+        idxs, _ = next(self._expanded)
         return self._score_taat(sorted(self.expander.term_at(i) for i in idxs), self.topk)
 
 
@@ -693,30 +709,22 @@ class SuggestExecutor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_q, out_p, out_s, out_df, out_d = [], [], [], [], []
-        for qid, pattern, k in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("pattern").to_pylist(),
-            batch.column("k").to_pylist(),
+        exp = self.expander
+        patterns = batch.column("pattern").to_pylist()
+        expanded = exp.expand_many(zip(patterns, batch.column("k").to_pylist()))
+        for qid, pattern, (idx, dists) in zip(
+            batch.column("query_id").to_pylist(), patterns, expanded
         ):
-            exp = self.expander
-            m = len(pattern)
-            band = np.flatnonzero(np.abs(exp.lens - m) <= k)
-            if not band.size:
+            if not idx.size:
                 continue
-            cand = exp.terms.take(pa.array(band)).to_pylist()
-            dists = bounded_term_distances(pattern, cand, int(k))
-            ok = dists <= k
-            if not ok.any():
-                continue
-            idx = band[ok]
-            terms = [cand[i] for i in np.flatnonzero(ok)]
+            terms = exp.terms.take(pa.array(idx)).to_pylist()
             dfs = exp.df[idx]
             best = min(range(len(terms)), key=lambda i: (-int(dfs[i]), terms[i]))
             out_q.append(int(qid))
             out_p.append(pattern)
             out_s.append(terms[best])
             out_df.append(int(dfs[best]))
-            out_d.append(int(dists[np.flatnonzero(ok)[best]]))
+            out_d.append(int(dists[best]))
         return pa.table(
             {
                 "query_id": pa.array(out_q, type=pa.int64()),
@@ -745,34 +753,35 @@ class PhraseSuggestExecutor:
         self.tokenizer = Tokenizer(view.cfg.analyzer)
 
     def _best(self, token: str) -> str | None:
-        exp = self.expander
-        m = len(token)
-        band = np.flatnonzero(np.abs(exp.lens - m) <= self.k)
-        if not band.size:
-            return None
-        cand = exp.terms.take(pa.array(band)).to_pylist()
-        dists = bounded_term_distances(token, cand, self.k)
-        ok = dists <= self.k
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        dfs = exp.df[band[ok]]
-        best = min(
-            range(len(idx)),
-            key=lambda i: (int(dists[idx[i]]), -int(dfs[i]), cand[idx[i]]),
-        )
-        return cand[idx[best]]
+        """The best correction of one token, or None if it has none."""
+        return self._best_of([token])[token]
+
+    def _best_of(self, tokens: Iterable[str]) -> dict[str, str | None]:
+        """Each distinct token's best correction (None if it has none),
+        all of them expanded in one pass."""
+        uniq = sorted(set(tokens))
+        out: dict[str, str | None] = {}
+        for t, (idx, dists) in zip(uniq, self.expander.expand_many((t, self.k) for t in uniq)):
+            if not idx.size:
+                out[t] = None
+                continue
+            cand = self.expander.terms.take(pa.array(idx)).to_pylist()
+            dfs = self.expander.df[idx]
+            best = min(
+                range(len(idx)), key=lambda i: (int(dists[i]), -int(dfs[i]), cand[i])
+            )
+            out[t] = cand[best]
+        return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_q, out_p, out_s, out_n = [], [], [], []
-        for qid, phrase in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("phrase").to_pylist(),
-        ):
-            toks = self.tokenizer.tokens(phrase)
+        phrases = batch.column("phrase").to_pylist()
+        toks = [self.tokenizer.tokens(phrase) for phrase in phrases]
+        best = self._best_of(t for ts in toks for t in ts)
+        for qid, phrase, ts in zip(batch.column("query_id").to_pylist(), phrases, toks):
             fixed, n_corr = [], 0
-            for t in toks:
-                b = self._best(t)
+            for t in ts:
+                b = best[t]
                 if b is None:
                     fixed.append(t)
                 else:
@@ -801,10 +810,9 @@ def suggest_phrases(
 ) -> ray.data.Dataset:
     """Phrase-level spelling suggestions (per-token df-ranked correction
     within Levenshtein ``k``) — see ``PhraseSuggestExecutor``."""
-    items = [{"query_id": int(q), "phrase": str(p)} for q, p in phrases]
     return index_stage(
-        items, PhraseSuggestExecutor, index_dir, batch_size=64,
-        concurrency=concurrency, k=k,
+        _query_rows(phrases, ("phrase",)), PhraseSuggestExecutor, index_dir,
+        batch_size=64, concurrency=concurrency, k=k,
     )
 
 
@@ -815,11 +823,9 @@ def suggest_terms(
 ) -> ray.data.Dataset:
     """Spelling suggestions over the index dictionary:
     (query_id, pattern, suggestion, df, distance)."""
-    items = [
-        {"query_id": int(q), "pattern": str(p), "k": int(k)} for q, p, k in patterns
-    ]
     return index_stage(
-        items, SuggestExecutor, index_dir, batch_size=64, concurrency=concurrency,
+        _pattern_rows(patterns), SuggestExecutor, index_dir, batch_size=64,
+        concurrency=concurrency,
     )
 
 

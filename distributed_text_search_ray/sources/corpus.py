@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from distributed_text_search_ray.functions.hashing import doc_fingerprint, sha256_hex
+from distributed_text_search_ray.functions.hashing import doc_fingerprint
 
 CORPUS_SCHEMA = pa.schema(
     [
@@ -141,9 +141,3 @@ def read_text_dir(path: str, repo: str | None = None) -> ray.data.Dataset:
     return ds.map_batches(to_rows, batch_format="pyarrow").map_batches(
         _add_doc_ids, batch_format="pyarrow"
     )
-
-
-def add_sha256(batch: pa.Table) -> pa.Table:
-    """Per-row content sha256 (the end-to-end invariant, input_hint)."""
-    shas = [sha256_hex(t) for t in batch.column("content").to_pylist()]
-    return batch.append_column("sha256", pa.array(shas, type=pa.string()))

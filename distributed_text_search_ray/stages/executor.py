@@ -44,19 +44,16 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
+from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from distributed_text_search_ray.config import AnalyzerConfig, IndexConfig
 from distributed_text_search_ray.functions import bm25
 from distributed_text_search_ray.functions.hashing import stable_u64, term_partition
-from distributed_text_search_ray.functions.lev import (
-    bounded_term_distances,
-    bounded_term_distances_osa,
-)
+from distributed_text_search_ray.functions.lev import TermStore, term_distances_many
 from distributed_text_search_ray.functions.tokenize import Tokenizer
 from distributed_text_search_ray.state.alias import resolve_index
 from distributed_text_search_ray.state.generations import generation_key
@@ -97,8 +94,17 @@ def config_from_meta(meta: dict) -> IndexConfig:
 class DictionaryExpander:
     """Levenshtein-banded expansion over the sorted term dictionary.
 
-    Loads the dictionary once (terms grouped by token length for banding);
-    ``expand`` runs the vectorized bounded DP only over the length band.
+    Loads the dictionary once per index generation (it is cached on
+    ``IndexView.dictionary()``). On the first expansion it also builds a
+    :class:`~distributed_text_search_ray.functions.lev.TermStore` of the
+    terms: their codepoints sorted by length into one flat, unpadded buffer
+    (narrowest unsigned dtype for the largest codepoint) plus the
+    length-sorted order and per-length offsets, so a length band is one
+    contiguous slice. It holds characters x dtype width + 4 bytes per term
+    + 16 bytes per length up to the longest term; no row is padded to the
+    longest term. ``expand_many`` answers a whole batch of patterns with
+    one banded-DP pass per (pattern length, k) group, its lanes chunked by
+    ``lev._LANE_BUDGET``.
     """
 
     def __init__(self, index_dir: str):
@@ -110,12 +116,11 @@ class DictionaryExpander:
         t = pa.concat_tables(
             [pq.read_table(f, columns=["term", "df", "cf"]) for f in files]
         ).combine_chunks()
-        # terms stay as an Arrow array (no per-term Python objects resident);
-        # only a query's length band materializes to strings
+        # terms stay as an Arrow array (no per-term Python objects resident)
         self._terms_arr = t.column("term").combine_chunks()
         self.df = t.column("df").to_numpy()
         self.cf = t.column("cf").to_numpy()
-        self.lens = pc.utf8_length(self._terms_arr).to_numpy()
+        self._store: TermStore | None = None
 
     def term_at(self, i: int) -> str:
         return self._terms_arr[int(i)].as_py()
@@ -124,20 +129,26 @@ class DictionaryExpander:
     def terms(self):
         return self._terms_arr
 
-    def expand(self, pattern: str, k: int, transpositions: bool = False) -> np.ndarray:
-        """Indices of dictionary terms within distance k of ``pattern``:
-        classic Levenshtein by default, OSA (adjacent transposition = one
-        edit — Lucene's ``fuzziness`` with transpositions) when
-        ``transpositions=True``. The length band is valid for both: every
-        edit, transposition included, changes length by at most 1."""
-        m = len(pattern)
-        band = np.flatnonzero(np.abs(self.lens - m) <= k)
-        if band.size == 0:
-            return band
-        cand = self._terms_arr.take(pa.array(band)).to_pylist()
-        kernel = bounded_term_distances_osa if transpositions else bounded_term_distances
-        dists = kernel(pattern, cand, k)
-        return band[dists <= k]
+    @property
+    def store(self) -> TermStore:
+        """The terms' codepoint store, built on first use."""
+        if self._store is None:
+            self._store = TermStore(self._terms_arr.to_pylist())
+        return self._store
+
+    def expand_many(
+        self, patterns: Iterable[tuple[str, int]], transpositions: bool = False
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each ``(pattern, k)``: the ascending indices of the dictionary
+        terms within distance k, and their distances. Classic Levenshtein by
+        default, OSA (adjacent transposition = one edit — Lucene's
+        ``fuzziness`` with transpositions) when ``transpositions=True``."""
+        out = []
+        for pos, d in term_distances_many(self.store, patterns, transpositions):
+            idx = self.store.order[pos].astype(np.int64)
+            o = np.argsort(idx)
+            out.append((idx[o], d[o]))
+        return out
 
 
 def _nbytes(entry: tuple) -> int:

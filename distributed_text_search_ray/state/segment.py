@@ -10,7 +10,7 @@ One segment per term-hash partition. On disk (inside ``part=NNNNN/``):
   No per-block score metadata: every scorer reads a term's whole list.
   ``block_size`` rides in the parquet schema metadata. Indexes written
   before the block metadata was dropped also carry five per-block list
-  columns (``block_*``); readers ignore them.
+  columns (``block_*``); readers do not load them.
 - ``docs.bin`` — delta + varbyte doc ids. Deltas restart every
   ``block_size`` postings within a term (that posting's id is stored
   absolute), so the decoder needs the interval, not per-term metadata.
@@ -284,7 +284,11 @@ class SegmentReader:
 
     def __init__(self, seg_dir: str):
         self.seg_dir = seg_dir
-        t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
+        # an index written before the block metadata was dropped keeps its
+        # five block_* list columns on disk; they are not read into memory
+        path = os.path.join(seg_dir, TERMS_FILE)
+        cols = [c for c in pq.read_schema(path).names if not c.startswith("block_")]
+        t = pq.read_table(path, columns=cols)
         self._terms = t
         md = t.schema.metadata or {}
         self.block_size = int(md.get(b"block_size", b"128"))

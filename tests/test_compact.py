@@ -202,3 +202,23 @@ def test_index_with_block_columns_reads_verifies_and_compacts(code_corpus, tmp_p
     assert _results(out) == _results(fresh)
     names = pq.read_schema(os.path.join(out, "segments", "part=00000", "terms.parquet")).names
     assert not [c for c in names if c.startswith("block_")]
+
+
+def test_segment_reader_does_not_load_block_columns(code_corpus, tmp_path):
+    """A reader over a segment that still carries the block_* list columns
+    holds the same terms table as one over the fresh segment (its
+    ``block_size`` metadata included): the block lists stay on disk."""
+    from distributed_text_search_ray.state.segment import SegmentReader
+
+    corpus_dir, _ = code_corpus
+    fresh = str(tmp_path / "fresh")
+    build_index(corpus_dir, fresh, CFG)
+    old = str(tmp_path / "old")
+    shutil.copytree(fresh, old)
+    seg_root = _add_block_columns(old)
+    for part in sorted(os.listdir(seg_root)):
+        assert "block_max" in pq.read_schema(os.path.join(seg_root, part, "terms.parquet")).names
+        got = SegmentReader(os.path.join(seg_root, part))
+        want = SegmentReader(os.path.join(fresh, "segments", part))
+        assert got.terms_table.equals(want.terms_table, check_metadata=True)
+        assert got.block_size == want.block_size

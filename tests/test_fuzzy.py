@@ -6,6 +6,8 @@ Covers both fuzzy paths (SURVEY.md section 7 phase 4 + section 8):
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distributed_text_search_ray import IndexConfig
 from distributed_text_search_ray.oracle import (
@@ -182,3 +184,85 @@ def test_fuzzy_topk_transpositions_expand_swapped_terms(built_index_r3):
     # classic lev distance of 'improt'->'import' is 2: k=1 finds nothing
     # unless some other distance-1 term exists (it doesn't in this corpus)
     assert len(classic) == 0
+
+
+# dictionary alphabets: ASCII (a uint8 store), and one with codepoints above
+# U+00FF and U+FFFF (a uint32 store)
+DICT_ALPHABETS = ("ab", "abcd", "abé€𝄞")
+
+
+@st.composite
+def _expansion_case(draw):
+    """A random dictionary and a batch of (pattern, k) pairs: edited
+    dictionary terms, free patterns (characters no term holds included),
+    empty tokens, k >= m, several (m, k) groups in one batch, duplicates."""
+    alpha = draw(st.sampled_from(DICT_ALPHABETS))
+    terms = draw(st.lists(st.text(alphabet=alpha, min_size=1, max_size=9), max_size=40, unique=True))
+    pat_alpha = alpha + "x𝄞"
+    ch = st.sampled_from(pat_alpha)
+
+    def edited(t):
+        p = list(t)
+        for op in draw(st.lists(st.sampled_from("sidt"), max_size=3)):
+            j = draw(st.integers(0, len(p)))
+            if op == "i":
+                p.insert(j, draw(ch))
+            elif op == "t" and j + 1 < len(p):
+                p[j], p[j + 1] = p[j + 1], p[j]
+            elif j < len(p):
+                if op == "s":
+                    p[j] = draw(ch)
+                else:
+                    del p[j]
+        return "".join(p)
+
+    pats = []
+    for _ in range(draw(st.integers(1, 14))):
+        if terms and draw(st.booleans()):
+            p = edited(draw(st.sampled_from(terms)))
+        else:
+            p = draw(st.text(alphabet=pat_alpha, max_size=7))
+        pats.append((p, draw(st.integers(0, 4))))
+    pats.append(("", draw(st.integers(0, 3))))  # an empty first token
+    pats += draw(st.lists(st.sampled_from(pats), max_size=4))  # duplicates
+    return sorted(terms), pats
+
+
+@given(_expansion_case(), st.booleans(), st.sampled_from([1, 40, 1 << 21]))
+@settings(max_examples=300, deadline=None)
+def test_expand_many_matches_per_term_reference(case, transpositions, budget):
+    """``DictionaryExpander.expand_many`` returns, for each pattern of a
+    batch, exactly the ascending dictionary indices within distance k and
+    their distances, as per-term ``levenshtein`` / ``osa_distance`` give
+    them, with the lane budget small enough that a group's lanes split into
+    many chunks."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from distributed_text_search_ray.functions import lev
+    from distributed_text_search_ray.stages.executor import DictionaryExpander
+
+    terms, pats = case
+    ref = lev.osa_distance if transpositions else lev.levenshtein
+    with tempfile.TemporaryDirectory() as d:
+        os.makedirs(os.path.join(d, "dictionary"))
+        n = len(terms)
+        pq.write_table(
+            pa.table({"term": pa.array(terms, pa.string()), "df": [1] * n, "cf": [1] * n}),
+            os.path.join(d, "dictionary", "part-0.parquet"),
+        )
+        exp = DictionaryExpander(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lev, "_LANE_BUDGET", budget)
+        got = exp.expand_many(pats, transpositions=transpositions)
+    assert len(got) == len(pats)
+    for (p, k), (idx, dists) in zip(pats, got):
+        want = [(i, ref(p, t)) for i, t in enumerate(terms) if ref(p, t) <= k]
+        assert list(zip(idx.tolist(), dists.tolist())) == want, (p, k)
+    store = exp.store
+    chars = sum(len(t) for t in terms)
+    longest = max(map(len, terms), default=0)
+    assert store.nbytes == chars * store.codes.itemsize + 4 * n + 16 * (longest + 2)

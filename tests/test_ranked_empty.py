@@ -213,6 +213,7 @@ def test_ranked_operators_emit_typed_empty_output(fx, case):
 
 FUZZY_INPUT = pa.schema([("query_id", pa.int64()), ("pattern", pa.string()), ("k", pa.int64())])
 EXPANSION_INPUT = pa.schema([("query_id", pa.int64()), ("prefix", pa.string())])
+PHRASE_INPUT = pa.schema([("query_id", pa.int64()), ("phrase", pa.string())])
 EMPTY_LISTS = {
     "search_topk": (lambda fx: s.search_topk(fx.idx, []), lambda fx: TOPK_SCHEMA),
     "filtered": (
@@ -223,6 +224,14 @@ EMPTY_LISTS = {
     "fuzzy_term_search": (
         lambda fx: s.fuzzy_term_search(fx.idx, []),
         lambda fx: s.FuzzyCountExecutor(fx.idx)(FUZZY_INPUT.empty_table()).schema,
+    ),
+    "suggest_terms": (
+        lambda fx: s.suggest_terms(fx.idx, []),
+        lambda fx: s.SuggestExecutor(fx.idx)(FUZZY_INPUT.empty_table()).schema,
+    ),
+    "suggest_phrases": (
+        lambda fx: s.suggest_phrases(fx.idx, []),
+        lambda fx: s.PhraseSuggestExecutor(fx.idx)(PHRASE_INPUT.empty_table()).schema,
     ),
     "routed": (lambda fx: s.search_topk_routed({"a": fx.idx}, []), lambda fx: TOPK_SCHEMA),
     **{
