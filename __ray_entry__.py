@@ -403,25 +403,6 @@ def _validate_parquet_dir(d: str) -> None:
         pq.ParquetFile(os.path.join(d, f))  # raises on truncated footer
 
 
-def _collect(ds) -> pa.Table:
-    """Small Dataset -> one pyarrow Table (bounded results only).
-
-    Collects via arrow block refs, NOT ``to_pandas``: Ray's to_pandas
-    returns a column-less DataFrame when every block is empty even though
-    the blocks carry a schema — a legitimately-empty result must still
-    present its schema to the comparator."""
-    import ray
-
-    tables = [
-        t if isinstance(t, pa.Table) else pa.table(t)
-        for t in ray.get(ds.to_arrow_refs())
-    ]
-    non_empty = [t for t in tables if t.num_rows]
-    if non_empty:
-        return pa.concat_tables(non_empty)
-    return tables[0] if tables else pa.table({})
-
-
 _MEDIA_N, _MEDIA_SEED = 96, 11
 
 
@@ -1753,10 +1734,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return dedup.dup_span_coverage(_docs_ds(sf_dir))
 
     def dup_span_filtered(sf_dir):
-        # _collect (schema-preserving): on a boilerplate-saturated corpus
+        from distributed_text_search_ray.util import collect_table
+
+        # collect_table (schema-preserving): on a boilerplate-saturated corpus
         # the survivor set is legitimately EMPTY, and Ray's to_pandas would
         # otherwise hand the comparator a column-less frame (sf0.1 sweep)
-        return _collect(dedup.dup_span_filter(_docs_ds(sf_dir), max_dup_fraction=0.5))
+        return collect_table(
+            dedup.dup_span_filter(_docs_ds(sf_dir), max_dup_fraction=0.5)
+        )
 
     def dup_span_edited(sf_dir):
         return dedup.dup_span_edit(_docs_ds(sf_dir))
@@ -2314,18 +2299,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def media_features(sf_dir):
         """Decode-derived scalar invariants + real featurize plumbing, now
         SQL-gated (VERDICT r4 item 4): the engine decodes every payload's
-        bytes (PPM header dims, WAV sample count, byte length) through the
-        actor-pool stages and the oracle recomputes the same scalars from
-        the media table's METADATA columns in DuckDB — a decoder that
-        misparses a header or truncates a payload diverges. emb_dim comes
-        from the real decode_and_featurize output (list length of the
+        bytes (PPM header dims, WAV sample count, byte length) in one task
+        stage and the oracle recomputes the same scalars from the media
+        table's METADATA columns in DuckDB — a decoder that misparses a
+        header or truncates a payload diverges. emb_dim comes from the real
+        featurize step run inside that stage (list length of the
         embedding), keeping the featurize stage inside the gated path."""
         import ray.data
 
         from distributed_text_search_ray.pipelines.multimodal import decode_invariants
+        from distributed_text_search_ray.util import collect_table
 
         media = ray.data.read_parquet(os.path.join(_media_parquet(), "media.parquet"))
-        return _collect(
+        return collect_table(
             decode_invariants(media, fake=True, with_embedding_dim=True)
         ).sort_by("media_id")
 

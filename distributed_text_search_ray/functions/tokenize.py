@@ -61,7 +61,7 @@ _SUBTOKEN_PATTERN = "[a-z0-9]+"
 
 
 class Tokenizer:
-    """Compiled analyzer; construct once per actor/task, reuse per batch."""
+    """Compiled analyzer; construct once per task, reuse per batch."""
 
     def __init__(self, cfg: AnalyzerConfig | None = None):
         self.cfg = cfg or AnalyzerConfig()

@@ -1,9 +1,10 @@
 """Similarity search over an embedding column (``list<float>``).
 
 - ``ann_brute_topk``: exact cosine top-k — the small query matrix is the
-  broadcast side (shipped once per actor in the pool constructor), each batch
-  does one float64 matmul, partial per-batch top-k rows are heap-merged per
-  query in a tiny ``groupby`` (partial+final, no full sort).
+  broadcast side (normalized once, when the stage is built, and shipped
+  with the task stage's scorer), each batch does one float64 matmul,
+  partial per-batch top-k rows are heap-merged per query in a tiny
+  ``groupby`` (partial+final, no full sort).
 - ``ann_lsh_topk``: the scale path — random-hyperplane LSH buckets vectors;
   queries only score their own bucket (and optional multi-probe neighbors).
   Approximate: recall measured against brute force in tests.
@@ -18,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from distributed_text_search_ray.util import resolve_concurrency, round_half_away
+from distributed_text_search_ray.util import round_half_away
 
 
 def _batch_matrix(batch: pa.Table, column: str) -> np.ndarray:
@@ -29,7 +30,7 @@ def _batch_matrix(batch: pa.Table, column: str) -> np.ndarray:
 
 
 class _BruteScorer:
-    """Actor-pool stage: query matrix normalized once per actor."""
+    """Task-stage scorer: the query matrix is normalized once, at construction."""
 
     def __init__(self, queries: list[tuple[int, list[float]]], k: int, column: str):
         self.qids = np.array([q[0] for q in queries], dtype=np.int64)
@@ -95,14 +96,10 @@ def ann_brute_topk(
     k: int = 10,
     column: str = "embedding",
     exclude_self: bool = True,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Exact cosine top-k neighbors for each (query_vec_id, vector)."""
     partials = embeddings.map_batches(
-        _BruteScorer,
-        fn_constructor_kwargs={"queries": queries, "k": k, "column": column},
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
+        _BruteScorer(queries, k, column), batch_format="pyarrow"
     )
     return partials.groupby("query_vec_id").map_groups(
         _merge_topk_factory(k, exclude_self), batch_format="pyarrow"
@@ -110,7 +107,7 @@ def ann_brute_topk(
 
 
 class _FilteredScorer:
-    """Actor-pool stage for per-query filtered search: each query scores
+    """Task-stage scorer for per-query filtered search: each query scores
     only the candidates whose ``label`` falls inside ITS [lo, hi] range.
     One matmul per batch covers all queries; the per-query filter is a
     boolean mask applied before the partial top-k cut, so a batch never
@@ -173,7 +170,6 @@ def ann_filtered_topk(
     column: str = "embedding",
     label_column: str = "label",
     exclude_self: bool = True,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Pre-filtered exact cosine top-k: the Elasticsearch ``knn`` +
     ``filter`` shape. ``queries`` rows are ``(query_vec_id, vector, lo,
@@ -189,15 +185,7 @@ def ann_filtered_topk(
     read (predicate pushdown) when all queries share one filter.
     """
     partials = embeddings.map_batches(
-        _FilteredScorer,
-        fn_constructor_kwargs={
-            "queries": queries,
-            "k": k,
-            "column": column,
-            "label_column": label_column,
-        },
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
+        _FilteredScorer(queries, k, column, label_column), batch_format="pyarrow"
     )
     return partials.groupby("query_vec_id").map_groups(
         _merge_topk_factory(k, exclude_self), batch_format="pyarrow"
@@ -220,7 +208,6 @@ def cosine_dup_pairs(
     embeddings: ray.data.Dataset,
     threshold: float = 0.9,
     column: str = "embedding",
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Embedding-cosine near-duplicate pairs: (vec_id_a < vec_id_b, cosine)
     with cosine >= threshold.
@@ -349,7 +336,6 @@ def ann_ivf_topk(
     column: str = "embedding",
     exclude_self: bool = True,
     fit_sample: int = 10_000,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """IVF approximate top-k: k-means coarse quantizer, queries probe their
     ``nprobe`` nearest centroids, brute-force over those cells only.
@@ -385,9 +371,7 @@ def ann_ivf_topk(
         return batch.filter(pc.is_in(pa.array(assign, type=pa.int64()), value_set=probe_arr))
 
     cand = embeddings.map_batches(keep_probed, batch_format="pyarrow")
-    return ann_brute_topk(
-        cand, queries, k=k, column=column, exclude_self=exclude_self, concurrency=concurrency
-    )
+    return ann_brute_topk(cand, queries, k=k, column=column, exclude_self=exclude_self)
 
 
 def ann_lsh_topk(
@@ -398,7 +382,6 @@ def ann_lsh_topk(
     seed: int = 42,
     column: str = "embedding",
     exclude_self: bool = True,
-    concurrency=None,
     probe_all: bool = False,
 ) -> ray.data.Dataset:
     """Approximate cosine top-k: score only vectors sharing the query's LSH
@@ -423,28 +406,20 @@ def ann_lsh_topk(
                 probe.add(b ^ (1 << bit))
     probe_list = sorted(probe)
 
-    bucketed = embeddings.map_batches(
-        _LshBucketer,
-        fn_constructor_kwargs={"dim": dim, "n_bits": n_bits, "seed": seed, "column": column},
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
-    )
+    bucketed = embeddings.map_batches(bucketer, batch_format="pyarrow")
     import pyarrow.compute as pc
 
     cand = bucketed.map_batches(
         lambda t: t.filter(pc.is_in(t.column("bucket"), value_set=pa.array(probe_list))),
         batch_format="pyarrow",
     )
-    return ann_brute_topk(
-        cand, queries, k=k, column=column, exclude_self=exclude_self, concurrency=concurrency
-    )
+    return ann_brute_topk(cand, queries, k=k, column=column, exclude_self=exclude_self)
 
 
 def embedding_dedup_filter(
     embeddings: ray.data.Dataset,
     threshold: float = 0.9,
     column: str = "embedding",
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Embedding-cosine-DEDUPED vector set: drop every vector that is the
     LARGER id of a >= threshold cosine pair (single-pass min-anchoring —
@@ -466,9 +441,7 @@ def embedding_dedup_filter(
     """
     import pyarrow.compute as pc
 
-    pairs = cosine_dup_pairs(
-        embeddings, threshold=threshold, column=column, concurrency=concurrency
-    )
+    pairs = cosine_dup_pairs(embeddings, threshold=threshold, column=column)
 
     def dropped_ids(batch: pa.Table) -> pa.Table:
         return pa.table({"vec_id": pc.unique(batch.column("vec_id_b")).cast(pa.int64())})
@@ -602,7 +575,6 @@ def kmeans_clusters(
     seed: int = 42,
     column: str = "embedding",
     fit_sample: int = 10_000,
-    concurrency=None,
     init: str = "kmeanspp",
     round_dp: int | None = None,
 ) -> ray.data.Dataset:
@@ -775,9 +747,9 @@ def semantic_dedup(
 
 
 class _HardNegativeScorer:
-    """Actor-pool stage: per query, cosine partial top-k over vectors whose
+    """Task-stage scorer: per query, cosine partial top-k over vectors whose
     label DIFFERS from the query's — contrastive-training hard-negative
-    mining. Query matrix + labels broadcast once per actor."""
+    mining. Query matrix normalized once, at construction."""
 
     def __init__(self, queries, k: int, column: str):
         # queries: [(vec_id, label, vector)]
@@ -826,7 +798,6 @@ def ann_hard_negatives(
     queries: list[tuple[int, str, list[float]]],
     k: int = 10,
     column: str = "embedding",
-    concurrency=None,
 ) -> ray.data.Dataset:
     """Exact hard-negative mining: for each (query_vec_id, label, vector),
     the k most-cosine-similar vectors with a DIFFERENT label — the
@@ -835,10 +806,7 @@ def ann_hard_negatives(
     ``ann_brute_topk`` (exact; route billion-vector corpora through the
     LSH/IVF candidate generators first, then this as the re-rank)."""
     partials = embeddings.map_batches(
-        _HardNegativeScorer,
-        fn_constructor_kwargs={"queries": queries, "k": k, "column": column},
-        batch_format="pyarrow",
-        concurrency=resolve_concurrency(concurrency),
+        _HardNegativeScorer(queries, k, column), batch_format="pyarrow"
     )
     return partials.groupby("query_vec_id").map_groups(
         _merge_topk_factory(k, exclude_self=True), batch_format="pyarrow"

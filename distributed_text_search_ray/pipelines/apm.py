@@ -62,7 +62,7 @@ def _local_result_dataset(tbl: pa.Table) -> ray.data.Dataset:
     off the task scheduler entirely."""
     try:
         return ray.data.from_blocks([tbl])
-    except Exception:  # future Ray versions: fall back to the public path
+    except (AttributeError, TypeError):  # future Ray versions: the public path
         return ray.data.from_arrow(tbl)
 
 
@@ -80,7 +80,8 @@ def _in_order(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 
 class ApmScan:
-    """Actor-pool stage: patterns held once per actor (the broadcast side)."""
+    """Task-stage scanner: per-batch partial match counts for the patterns
+    it holds (the broadcast side)."""
 
     def __init__(self, patterns: list[tuple[int, str, int]], text_column: str = "content"):
         self.patterns = patterns
@@ -103,7 +104,6 @@ def windowed_match_counts(
     docs: ray.data.Dataset | str,
     patterns: Iterable[tuple[int, str, int]],
     text_column: str = "content",
-    concurrency: int | None = None,
     concat: bool = False,
     plan: str | None = None,
 ) -> ray.data.Dataset:

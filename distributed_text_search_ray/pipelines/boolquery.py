@@ -35,7 +35,7 @@ import pyarrow as pa
 import ray.data
 
 from distributed_text_search_ray.stages.executor import IndexView, as_view
-from distributed_text_search_ray.stages.index_stage import index_stage
+from distributed_text_search_ray.stages.index_stage import index_stage, query_rows
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,12 @@ class _BooleanExecutor:
 def boolean_search(
     index_dir: str,
     queries: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """(query_id, doc_id) for every doc satisfying each boolean query."""
-    items = [{"query_id": int(q), "query": str(s)} for q, s in queries]
+    items = query_rows(queries)
     # batch_size=1: a small interactive batch still spreads over one task
     # per CPU, and each match set (corpus-scale) is its own output batch
-    return index_stage(
-        items, _BooleanExecutor, index_dir, batch_size=1, concurrency=concurrency
-    )
+    return index_stage(items, _BooleanExecutor, index_dir, batch_size=1)
 
 
 class _RelevanceStatsExecutor(_BooleanExecutor):
@@ -265,14 +262,11 @@ def facet_counts(
     index_dir: str,
     queries: Iterable[tuple[int, str]],
     attr: str,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """(query_id, value, n_docs): boolean-query matches faceted by a
     build-time attribute (e.g. lang). Values with zero matches are omitted."""
-    items = [{"query_id": int(q), "query": str(s)} for q, s in queries]
-    return index_stage(
-        items, _FacetExecutor, index_dir, concurrency=concurrency, attr=attr
-    )
+    items = query_rows(queries)
+    return index_stage(items, _FacetExecutor, index_dir, attr=attr)
 
 
 def boolean_query_sql(
@@ -360,13 +354,12 @@ def percolate(
     docs: ray.data.Dataset,
     queries: Iterable[tuple[int, str]],
     analyzer=None,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """(doc_id, query_id) for every (document, stored boolean query) match —
     reverse search over a document stream."""
     # batch_size=None: whole blocks, Ray Data's own map_batches default
     return index_stage(
-        docs, _PercolateExecutor, None, batch_size=None, concurrency=concurrency,
+        docs, _PercolateExecutor, None, batch_size=None,
         queries=[(int(q), str(s)) for q, s in queries], analyzer=analyzer,
     )
 

@@ -29,7 +29,7 @@ DuckDB twin replays each round (``replace(s, '|l||r|', '|lr|')``).
 
 ``bpe_encode_token_counts`` is the apply side: per-document token and
 subtoken counts under a FIXED merge table — a stateless ``map_batches``
-pass that encodes each DISTINCT token once per batch through a per-actor
+pass that encodes each DISTINCT token once per batch through a per-task
 cache (work bounded by vocabulary, not corpus), then segment-sums per
 doc. Twin: the same merge chain replayed by chained ``replace``.
 
@@ -178,17 +178,16 @@ def bpe_train(
 
 
 class _BpeCountEncoder:
-    """Actor-pool stage: per-doc token/subtoken counts under fixed merges.
+    """Task-stage encoder: per-doc token/subtoken counts under fixed merges.
 
-    Merge list and per-word encode cache live in ``__init__`` — built once
-    per actor, amortized across every batch it sees. Each DISTINCT token
-    in a batch is encoded at most once ever per actor (vocabulary-bounded
-    work); per-doc sums are one vectorized segment reduce.
+    The per-word encode cache lives on the instance, so each DISTINCT token
+    is encoded at most once per task (vocabulary-bounded work); per-doc
+    sums are one vectorized segment reduce.
     """
 
     def __init__(self, merges: list[tuple[str, str]], analyzer):
         self.merges = merges
-        self.tk = tokenizer_for(analyzer)
+        self.analyzer = analyzer
         self.cache: dict[str, int] = {}
 
     def _n_sub(self, word: str) -> int:
@@ -205,7 +204,8 @@ class _BpeCountEncoder:
 
         texts = batch.column("content").to_pylist()
         doc_ids = batch.column("doc_id").to_numpy()
-        toks = [self.tk.tokens(t) for t in texts]
+        tk = tokenizer_for(self.analyzer)
+        toks = [tk.tokens(t) for t in texts]
         counts = np.fromiter(
             (len(x) for x in toks), dtype=np.int64, count=len(toks)
         )
@@ -244,14 +244,12 @@ def bpe_encode_token_counts(
     docs: ray.data.Dataset,
     merges: pa.Table | list[tuple[str, str]],
     analyzer: AnalyzerConfig | None = None,
-    concurrency: int | tuple[int, int] = (2, 8),
 ) -> ray.data.Dataset:
     """(doc_id, n_tokens, n_subtokens) under a fixed merge table.
 
     ``merges`` is a ``bpe_train`` output (or a plain (lhs, rhs) list) in
     rank order; zero-token docs are omitted (twin inner-joins through the
-    token stream). Runs as an actor pool so the encode cache persists
-    across batches.
+    token stream).
     """
     if isinstance(merges, pa.Table):
         pairs = list(
@@ -262,9 +260,4 @@ def bpe_encode_token_counts(
         )
     else:
         pairs = list(merges)
-    return docs.map_batches(
-        _BpeCountEncoder,
-        fn_constructor_args=(pairs, analyzer),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    return docs.map_batches(_BpeCountEncoder(pairs, analyzer), batch_format="pyarrow")

@@ -87,8 +87,6 @@ def build_index(
     corpus_path: str,
     index_dir: str,
     cfg: IndexConfig | None = None,
-    *,
-    concurrency: int | None = None,
 ) -> dict:
     """Build (or resume) the inverted index for a corpus.
 

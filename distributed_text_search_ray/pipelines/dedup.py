@@ -334,7 +334,6 @@ def minhash_lsh_pairs(
     bands: int = 32,
     shingle_n: int = 3,
     analyzer: AnalyzerConfig | None = None,
-    concurrency=None,
     pair_partitions: int = 64,
     max_bucket_size: int = 4096,
     join_partitions: int = 4,
@@ -1099,7 +1098,7 @@ def cluster_size_histogram(
 
 
 def simhash_fingerprints(
-    docs: ray.data.Dataset, analyzer: AnalyzerConfig | None = None, concurrency=None
+    docs: ray.data.Dataset, analyzer: AnalyzerConfig | None = None
 ) -> ray.data.Dataset:
     """(doc_id, simhash) 64-bit fingerprints (stored as int64 bit-pattern,
     token hash = DuckDB md5_number_lower so the fingerprint is

@@ -3,7 +3,7 @@
 The reference has no joins (patterns x corpus is a broadcast nested loop);
 a general engine needs them:
 
-- ``broadcast_lookup``: small side shipped once per task/actor, applied as a
+- ``broadcast_lookup``: small side shipped once per task, applied as a
   zero-copy ``pyarrow.Table.join`` inside ``map_batches`` — no shuffle, no
   pandas conversion. The right strategy for dimension tables, vocab maps,
   blocklists.

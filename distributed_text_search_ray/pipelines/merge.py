@@ -743,8 +743,6 @@ def extend_index(
     index_dir: str,
     new_corpus_path: str,
     out_dir: str,
-    *,
-    concurrency: int | None = None,
 ) -> dict:
     """Incremental index growth: add a batch of NEW corpus shards to an
     existing index without re-tokenizing the existing corpus.
@@ -770,7 +768,7 @@ def extend_index(
         raise ValueError(f"base index {index_dir} is not complete")
     cfg = config_from_meta(base_meta)
     delta_dir = out_dir.rstrip("/") + ".delta"
-    build_index(new_corpus_path, delta_dir, cfg, concurrency=concurrency)
+    build_index(new_corpus_path, delta_dir, cfg)
     report = merge_indexes([index_dir, delta_dir], out_dir)
     report["delta_dir"] = delta_dir
     return report
@@ -780,8 +778,6 @@ def upsert_docs(
     index_dir: str,
     new_corpus_path: str,
     out_dir: str,
-    *,
-    concurrency: int | None = None,
 ) -> dict:
     """Replace-or-add a batch of documents in one lifecycle operation.
 
@@ -843,7 +839,7 @@ def upsert_docs(
 
     compacted = out_dir.rstrip("/") + ".compacted"
     report_c = compact_index(clone, compacted)
-    report = extend_index(compacted, new_corpus_path, out_dir, concurrency=concurrency)
+    report = extend_index(compacted, new_corpus_path, out_dir)
     report["n_upserted"] = int(len(ids))
     report["compact"] = {k: report_c[k] for k in ("fingerprint",) if k in report_c}
     return report

@@ -2,7 +2,7 @@
 
 Images/audio/video travel as ``binary`` columns plus metadata columns
 (modality, format, width/height/duration). The Ray-side plumbing — schemas,
-actor-pool stage shape, batch sizing for large rows, output layout — is real
+task-stage shape, batch sizing for large rows, output layout — is real
 and tested, and so is decoding for the container-friendly formats:
 
 - ``ppm`` (P6 binary PPM) images decode with pure numpy (header parse +
@@ -16,8 +16,8 @@ deterministic stand-in (seeded by the payload's sha256) produces stable
 pseudo-pixels so downstream stages and tests have data to chew on.
 
 Batch-size guidance encoded here: binary rows are large, so the decode stage
-defaults to small ``batch_size`` (64) and a bounded actor pool — the object
-store spills rather than a worker OOMing.
+defaults to small ``batch_size`` (64) — the object store spills rather than
+a worker OOMing.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import wave
 import numpy as np
 import pyarrow as pa
 import ray.data
-
-from distributed_text_search_ray.util import resolve_concurrency
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -175,7 +173,7 @@ def _fake_thumb(payload: bytes) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor-pool decode stage (setup once per actor, work per batch).
+    """Decode stage (set up once at construction, work per batch in a task).
 
     ``ppm`` and ``wav`` decode for REAL (numpy / stdlib wave). Other formats
     need codecs absent from this container: they raise unless ``fake=True``,
@@ -186,7 +184,6 @@ class MediaDecoder:
 
     def __init__(self, fake: bool = False):
         self.fake = fake
-        # a real model/codec handle would load here, once per actor
 
     def _decode_one(self, fmt: str, payload: bytes) -> np.ndarray:
         if fmt == "ppm":
@@ -220,11 +217,11 @@ class MediaDecoder:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool feature stage: 64-d float32 embedding per media item.
+    """Feature stage: 64-d float32 embedding per media item.
 
-    Feature = normalized thumbnail — the plumbing a real model-inference
-    stage needs (model load once in __init__, batched __call__, list<float>
-    output) with a cheap deterministic featurizer standing in for the model."""
+    Feature = normalized thumbnail: a batched ``__call__`` with
+    ``list<float>`` output, and a cheap deterministic featurizer standing in
+    for a model."""
 
     def __init__(self):
         self.dim = 64
@@ -247,27 +244,19 @@ def decode_and_featurize(
     media: ray.data.Dataset,
     fake: bool = True,
     batch_size: int = 64,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """media table -> (media_id, embedding). Small batches: binary rows are
-    large, so batch x concurrency must fit worker heaps."""
+    large, so a batch must fit a worker heap."""
     decoded = media.map_batches(
-        MediaDecoder,
-        fn_constructor_kwargs={"fake": fake},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=resolve_concurrency(concurrency),
+        MediaDecoder(fake), batch_format="pyarrow", batch_size=batch_size
     )
     return decoded.map_batches(
-        MediaFeatureExtractor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=resolve_concurrency(concurrency),
+        MediaFeatureExtractor(), batch_format="pyarrow", batch_size=batch_size
     )
 
 
 class MediaInvariantExtractor:
-    """Actor-pool stage emitting SQL-checkable DECODE invariants.
+    """Stage emitting SQL-checkable DECODE invariants.
 
     The codec byte-work itself is not SQL-expressible, but scalar properties
     it derives ARE: an image's pixel dimensions live in the PPM payload's
@@ -283,9 +272,9 @@ class MediaInvariantExtractor:
     n_samples, payload_bytes[, emb_dim]). Non-decodable formats (the
     documented video stub) emit zeros for the decode-derived fields.
     ``with_embedding_dim=True`` additionally runs the real decode +
-    featurize stages IN this actor (MediaDecoder thumbnail ->
+    featurize stages IN this stage (MediaDecoder thumbnail ->
     MediaFeatureExtractor embedding) and emits each row's embedding
-    length — one actor pool instead of three plus a join for the gated
+    length — one stage instead of three plus a join for the gated
     ``media_features`` readout.
     """
 
@@ -360,20 +349,15 @@ class MediaInvariantExtractor:
 def decode_invariants(
     media: ray.data.Dataset,
     batch_size: int = 64,
-    concurrency=None,
     fake: bool = False,
     with_embedding_dim: bool = False,
 ) -> ray.data.Dataset:
     """media table -> per-row decode invariants (see MediaInvariantExtractor).
     Same small-batch sizing as the decode stage: binary rows are large."""
     return media.map_batches(
-        MediaInvariantExtractor,
-        fn_constructor_kwargs={
-            "fake": fake, "with_embedding_dim": with_embedding_dim,
-        },
+        MediaInvariantExtractor(fake, with_embedding_dim),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=resolve_concurrency(concurrency),
     )
 
 

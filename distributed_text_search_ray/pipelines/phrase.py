@@ -42,7 +42,7 @@ from distributed_text_search_ray.config import AnalyzerConfig
 from distributed_text_search_ray.functions.hashing import _token_hashes
 from distributed_text_search_ray.functions.tokenize import tokenizer_for
 from distributed_text_search_ray.stages.executor import IndexView, as_view
-from distributed_text_search_ray.stages.index_stage import index_stage
+from distributed_text_search_ray.stages.index_stage import index_stage, query_rows
 
 _OUT_SCHEMA = pa.schema(
     [
@@ -245,19 +245,15 @@ class _PhrasePositionalExecutor:
 def phrase_search_positional(
     index_dir: str,
     phrases: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Phrase counts answered purely from a positional (v4) index — the
     third, fully index-resident plan (scan / index-assisted verify /
     positional). Result-identical to ``phrase_match_counts``."""
-    items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
+    items = query_rows(phrases)
     # one query per batch: positional decode is the heavy unit of work (a
     # stopword-dense query decodes millions of positions), so a small query
     # batch must still fan out over one task per CPU
-    return index_stage(
-        items, _PhrasePositionalExecutor, index_dir, batch_size=1,
-        concurrency=concurrency,
-    )
+    return index_stage(items, _PhrasePositionalExecutor, index_dir, batch_size=1)
 
 
 class _PhraseCandidates:
@@ -307,7 +303,6 @@ def phrase_search_indexed(
     phrases: Iterable[tuple[int, str]],
     analyzer: AnalyzerConfig | None = None,
     text_column: str = "content",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Index-assisted path, result-identical to ``phrase_match_counts``.
 
@@ -327,9 +322,9 @@ def phrase_search_indexed(
     """
     phrases = list(phrases)
     analyzer = analyzer or AnalyzerConfig()
-    items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
+    items = query_rows(phrases)
     cand = index_stage(
-        items, _PhraseCandidates, index_dir, concurrency=concurrency
+        items, _PhraseCandidates, index_dir
     ).materialize()  # small: bounded by rarest-term df per phrase
     cand_tbl = pa.concat_tables(ray.get(cand.to_arrow_refs()))
     all_ids = pc.unique(cand_tbl.column("doc_id"))
@@ -448,18 +443,17 @@ def proximity_search(
     index_dir: str,
     queries: Iterable[tuple[int, str]],
     max_span: int,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Within-window (proximity) search over a positional (v4) index:
     (query_id, doc_id, min_span) for docs where all distinct query terms
     co-occur within a span of ``max_span`` token positions. Single-term
     queries match every containing doc with min_span 0; a query with any
     index-absent term matches nothing."""
-    items = [{"query_id": int(q), "query": str(p)} for q, p in queries]
+    items = query_rows(queries)
     # one query per batch — same fan-out rationale as the positional phrase
     # stage above
     return index_stage(
-        items, _ProximityExecutor, index_dir, batch_size=1, concurrency=concurrency,
+        items, _ProximityExecutor, index_dir, batch_size=1,
         max_span=max_span,
     )
 
@@ -594,7 +588,6 @@ def span_near_search(
     index_dir: str,
     queries: Iterable[tuple[int, str]],
     slop: int,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """ORDERED span-near search over a positional (v4) index: (query_id,
     doc_id, min_gap) for docs where the query tokens appear in query order
@@ -603,11 +596,8 @@ def span_near_search(
     ``slop=0`` degenerates to exact-phrase matching (for distinct-token
     phrases); a single-token query matches every containing doc with
     min_gap 0; a query with any index-absent token matches nothing."""
-    items = [{"query_id": int(q), "query": str(p)} for q, p in queries]
-    return index_stage(
-        items, _SpanNearExecutor, index_dir, batch_size=1, concurrency=concurrency,
-        slop=slop,
-    )
+    items = query_rows(queries)
+    return index_stage(items, _SpanNearExecutor, index_dir, batch_size=1, slop=slop)
 
 
 def span_near_sql(
@@ -787,15 +777,14 @@ def match_phrase_prefix(
     index_dir: str,
     phrases: Iterable[tuple[int, str]],
     max_expansions: int = 50,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """ES ``match_phrase_prefix`` (search-as-you-type): the last token of
     each phrase matches any dictionary term with that prefix (capped at the
     first ``max_expansions`` in sorted term order, the Lucene contract);
     preceding tokens must chain consecutively, answered purely from a
     positional (v4) index. Returns (query_id, doc_id, n_occurrences)."""
-    items = [{"query_id": int(q), "query": str(p)} for q, p in phrases]
+    items = query_rows(phrases)
     return index_stage(
-        items, _PhrasePrefixExecutor, index_dir, batch_size=1, concurrency=concurrency,
+        items, _PhrasePrefixExecutor, index_dir, batch_size=1,
         max_expansions=max_expansions,
     )

@@ -37,22 +37,8 @@ from distributed_text_search_ray.stages.executor import (
     open_view,
     segment_sum,
 )
-from distributed_text_search_ray.stages.index_stage import index_stage
+from distributed_text_search_ray.stages.index_stage import index_stage, query_rows
 from distributed_text_search_ray.util import round_half_away
-
-
-def _query_rows(queries, columns=("query",)) -> pa.Table | ray.data.Dataset:
-    """(query_id, *strings) tuples as a typed table with an int64
-    ``query_id`` and one string column per name in ``columns`` (a Dataset
-    passes through): typed even when empty, so an empty query list gets
-    typed output."""
-    if isinstance(queries, ray.data.Dataset):
-        return queries
-    queries = list(queries)
-    table = {"query_id": pa.array([int(q[0]) for q in queries], pa.int64())}
-    for i, name in enumerate(columns, 1):
-        table[name] = pa.array([str(q[i]) for q in queries], pa.string())
-    return pa.table(table)
 
 
 def _pattern_rows(patterns: Iterable[tuple[int, str, int]]) -> pa.Table:
@@ -72,7 +58,6 @@ def search_topk(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 for each query. Returns (query_id, rank, doc_id, score).
 
@@ -84,7 +69,7 @@ def search_topk(
       Block-Max WAND pruning would skip no decode over cached
       contributions, only add work; segments store no block metadata."""
     return index_stage(
-        _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), QueryExecutor, index_dir,
         topk=topk, mode=mode,
     )
 
@@ -94,7 +79,6 @@ def search_topk_ql(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
     mu: float = 2000.0,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k under Dirichlet-smoothed query likelihood (the language-model
     scorer family) — same index, analyzer and output schema as BM25
@@ -103,7 +87,7 @@ def search_topk_ql(
     from distributed_text_search_ray.stages.executor import QLTopkExecutor
 
     return index_stage(
-        _query_rows(queries), QLTopkExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), QLTopkExecutor, index_dir,
         topk=topk, mu=mu,
     )
 
@@ -113,7 +97,6 @@ def search_topk_federated(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 across SEVERAL indexes queried as one logical corpus —
     cross-cluster search without a physical ``merge_indexes``. Global stats
@@ -126,8 +109,8 @@ def search_topk_federated(
     from distributed_text_search_ray.stages.executor import FederatedQueryExecutor
 
     return index_stage(
-        _query_rows(queries), FederatedQueryExecutor, list(index_dirs),
-        concurrency=concurrency, topk=topk, mode=mode,
+        query_rows(queries), FederatedQueryExecutor, list(index_dirs),
+        topk=topk, mode=mode,
     )
 
 
@@ -136,14 +119,13 @@ def search_topk_msm(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     min_should_match: int = 2,
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 restricted to docs that contain at least
     ``min_should_match`` DISTINCT query terms (the boolean OR query's
     precision dial: msm=1 is plain OR, msm=len(terms) is pure AND).
     Surviving docs keep their exact unfiltered BM25 scores."""
     return index_stage(
-        _query_rows(queries), QueryExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), QueryExecutor, index_dir,
         topk=topk, min_should_match=min_should_match,
     )
 
@@ -191,7 +173,6 @@ def search_facets(
     facet_col: str = "lang",
     min_should_match: int = 1,
     join_partitions: int = 8,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Search-time facet aggregation (the ES "query + aggs" shape): for each
     query, count MATCHING docs per ``facet_col`` value over the FULL hit
@@ -203,7 +184,7 @@ def search_facets(
     pyarrow partial counts collapse the exchange to O(queries x facet
     cardinality) rows before the final per-query reduce."""
     hits = index_stage(
-        _query_rows(queries), MatchSetExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), MatchSetExecutor, index_dir,
         min_should_match=min_should_match,
     )
     from distributed_text_search_ray.pipelines.joins import hash_join
@@ -278,7 +259,6 @@ def function_score_topk(
     scale: float = 1000.0,
     topk: int = 10,
     join_partitions: int = 8,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Function-score ranking (the ES ``field_value_factor`` shape): every
     hit's BM25 score is multiplied by a saturation boost of a numeric doc
@@ -295,9 +275,7 @@ def function_score_topk(
     the boost is a vectorized map, and the per-query top-k is the only
     per-group step. Returns (query_id, rank, doc_id, score) with 6-dp
     scores, ties by doc_id."""
-    hits = index_stage(
-        _query_rows(queries), ScoredSetExecutor, index_dir, concurrency=concurrency,
-    )
+    hits = index_stage(query_rows(queries), ScoredSetExecutor, index_dir)
     from distributed_text_search_ray.pipelines.joins import hash_join
 
     joined = hash_join(
@@ -352,7 +330,6 @@ def mmr_topk(
     topk: int = 10,
     fetch_pad: int = 10,
     join_partitions: int = 8,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Diversified top-k via Maximal Marginal Relevance (Carbonell &
     Goldstein 1998): greedily select from the BM25 top-``window``, scoring
@@ -374,10 +351,7 @@ def mmr_topk(
     window x window numpy kernel inside one group task. Returns
     (query_id, rank, doc_id, score); score is the mmr value at selection
     time (rank 1 = plain rel)."""
-    hits = search_topk(
-        index_dir, queries, topk=window + fetch_pad, mode="taat",
-        concurrency=concurrency,
-    )
+    hits = search_topk(index_dir, queries, topk=window + fetch_pad, mode="taat")
 
     def rewindow(group: pa.Table) -> pa.Table:
         d = group.column("doc_id").to_numpy()
@@ -472,7 +446,6 @@ def search_top_hits_per_bucket(
     facet_col: str = "lang",
     hits_per_bucket: int = 1,
     join_partitions: int = 8,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """The ES ``top_hits`` sub-aggregation: for each query and each value
     of ``facet_col``, the best ``hits_per_bucket`` docs by BM25 (6-dp
@@ -481,9 +454,7 @@ def search_top_hits_per_bucket(
     task does the vectorized per-bucket top-k — no corpus-sized state
     anywhere. Returns (query_id, <facet_col>, bucket_rank, doc_id,
     score)."""
-    hits = index_stage(
-        _query_rows(queries), ScoredSetExecutor, index_dir, concurrency=concurrency,
-    )
+    hits = index_stage(query_rows(queries), ScoredSetExecutor, index_dir)
     from distributed_text_search_ray.pipelines.joins import hash_join
 
     joined = hash_join(
@@ -587,13 +558,12 @@ def search_topk_rescored(
     window: int = 30,
     query_weight: float = 1.0,
     rescore_weight: float = 2.0,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k after phrase rescoring of the BM25 top-``window``; requires a
     positional (``store_positions=True``) index. See ``RescoreExecutor``."""
     return index_stage(
-        _query_rows(queries), RescoreExecutor, index_dir, batch_size=4,
-        concurrency=concurrency, topk=topk, window=window, query_weight=query_weight,
+        query_rows(queries), RescoreExecutor, index_dir, batch_size=4,
+        topk=topk, window=window, query_weight=query_weight,
         rescore_weight=rescore_weight,
     )
 
@@ -663,12 +633,10 @@ class FuzzyCountExecutor:
 def fuzzy_term_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str, int]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Term-level fuzzy stats for (query_id, pattern, k) triples."""
     return index_stage(
         _pattern_rows(patterns), FuzzyCountExecutor, index_dir, batch_size=64,
-        concurrency=concurrency,
     )
 
 
@@ -806,26 +774,23 @@ def suggest_phrases(
     index_dir: str,
     phrases: Iterable[tuple[int, str]],
     k: int = 1,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Phrase-level spelling suggestions (per-token df-ranked correction
     within Levenshtein ``k``) — see ``PhraseSuggestExecutor``."""
     return index_stage(
-        _query_rows(phrases, ("phrase",)), PhraseSuggestExecutor, index_dir,
-        batch_size=64, concurrency=concurrency, k=k,
+        query_rows(phrases, ("phrase",)), PhraseSuggestExecutor, index_dir,
+        batch_size=64, k=k,
     )
 
 
 def suggest_terms(
     index_dir: str,
     patterns: Iterable[tuple[int, str, int]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Spelling suggestions over the index dictionary:
     (query_id, pattern, suggestion, df, distance)."""
     return index_stage(
         _pattern_rows(patterns), SuggestExecutor, index_dir, batch_size=64,
-        concurrency=concurrency,
     )
 
 
@@ -885,13 +850,10 @@ def extract_keywords(
     index_dir: str,
     docs: ray.data.Dataset,
     k: int = 3,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k tf*idf keywords per document: (doc_id, rank, term, score)."""
     # batch_size=None: whole blocks, Ray Data's own map_batches default
-    return index_stage(
-        docs, KeywordExecutor, index_dir, batch_size=None, concurrency=concurrency, k=k,
-    )
+    return index_stage(docs, KeywordExecutor, index_dir, batch_size=None, k=k)
 
 
 class MoreLikeThisExecutor(QueryExecutor):
@@ -933,7 +895,6 @@ def more_like_this(
     doc_ids: Iterable[int],
     top_terms: int = 5,
     topk: int = 5,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Similar-document retrieval: for each source doc, BM25 top-k over its
     ``top_terms`` highest-tf*idf terms (source excluded). The source docs'
@@ -950,7 +911,7 @@ def more_like_this(
 
     src = docs.map_batches(pick_sources, batch_format="pyarrow")
     return index_stage(
-        src, MoreLikeThisExecutor, index_dir, concurrency=concurrency,
+        src, MoreLikeThisExecutor, index_dir,
         top_terms=top_terms, topk=topk,
     )
 
@@ -1136,14 +1097,13 @@ def search_topk_filtered(
     value: str,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 over only the docs whose ``attr`` equals ``value``
     (e.g. lang="py"). Scores equal the unfiltered scores of the same docs;
     ranking is the unfiltered ranking restricted to the allowed set."""
     return index_stage(
-        _query_rows(queries), FilteredQueryExecutor, index_dir,
-        concurrency=concurrency, attr=attr, value=value, topk=topk, mode=mode,
+        query_rows(queries), FilteredQueryExecutor, index_dir,
+        attr=attr, value=value, topk=topk, mode=mode,
     )
 
 
@@ -1169,7 +1129,6 @@ def fuzzy_search_topk(
     index_dir: str,
     patterns: Iterable[tuple[int, str, int]],
     topk: int = 10,
-    concurrency: int | None = None,
     transpositions: bool = False,
 ) -> ray.data.Dataset:
     """BM25 over the fuzzy-expanded term set of each (query_id, pattern, k).
@@ -1178,19 +1137,18 @@ def fuzzy_search_topk(
     classic Levenshtein: 'sprak' reaches 'spark' at k=1."""
     return index_stage(
         _pattern_rows(patterns), FuzzyTopkExecutor, index_dir, batch_size=64,
-        concurrency=concurrency, topk=topk, transpositions=transpositions,
+        topk=topk, transpositions=transpositions,
     )
 
 
 def prefix_term_search(
     index_dir: str,
     prefixes: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Wildcard ``prefix*`` term stats for (query_id, prefix) pairs."""
     return index_stage(
-        _query_rows(prefixes, ("prefix",)), ExpansionCountExecutor, index_dir,
-        batch_size=64, concurrency=concurrency, kind="prefix",
+        query_rows(prefixes, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, kind="prefix",
     )
 
 
@@ -1219,12 +1177,11 @@ def wildcard_to_like(pattern: str) -> str:
 def wildcard_term_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """General wildcard (``*``/``?``) term stats for (query_id, pattern)."""
     return index_stage(
-        _query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
-        batch_size=64, concurrency=concurrency, kind="wildcard",
+        query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, kind="wildcard",
     )
 
 
@@ -1232,12 +1189,11 @@ def wildcard_topk_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str]],
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked retrieval over the wildcard-expanded term set."""
     return index_stage(
-        _query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
-        batch_size=64, concurrency=concurrency, kind="wildcard", topk=topk,
+        query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        batch_size=64, kind="wildcard", topk=topk,
     )
 
 
@@ -1328,12 +1284,11 @@ class ExpansionTopkExecutor(QueryExecutor):
 def regexp_term_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Whole-term regexp term stats for (query_id, pattern) pairs."""
     return index_stage(
-        _query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
-        batch_size=64, concurrency=concurrency, kind="regexp",
+        query_rows(patterns, ("prefix",)), ExpansionCountExecutor, index_dir,
+        batch_size=64, kind="regexp",
     )
 
 
@@ -1341,12 +1296,11 @@ def regexp_topk_search(
     index_dir: str,
     patterns: Iterable[tuple[int, str]],
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked retrieval over the regexp-expanded term set."""
     return index_stage(
-        _query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
-        concurrency=concurrency, kind="regexp", topk=topk,
+        query_rows(patterns, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        kind="regexp", topk=topk,
     )
 
 
@@ -1354,12 +1308,11 @@ def prefix_search_topk(
     index_dir: str,
     prefixes: Iterable[tuple[int, str]],
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Ranked wildcard retrieval: top-k BM25 over each prefix's term set."""
     return index_stage(
-        _query_rows(prefixes, ("prefix",)), ExpansionTopkExecutor, index_dir,
-        concurrency=concurrency, kind="prefix", topk=topk,
+        query_rows(prefixes, ("prefix",)), ExpansionTopkExecutor, index_dir,
+        kind="prefix", topk=topk,
     )
 
 
@@ -1390,11 +1343,10 @@ def search_topk_synonyms(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     synonyms: dict[str, list[str]],
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 with query-time synonym expansion."""
     return index_stage(
-        _query_rows(queries), SynonymTopkExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), SynonymTopkExecutor, index_dir,
         synonyms=synonyms, topk=topk,
     )
 
@@ -1434,13 +1386,12 @@ def search_topk_boolean_filtered(
     filter_query: str,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 over only the docs matching ``filter_query`` (AND/OR/
     AND-NOT grammar). Scores equal the unfiltered scores of the same docs."""
     return index_stage(
-        _query_rows(queries), BooleanFilteredQueryExecutor, index_dir,
-        concurrency=concurrency, filter_query=filter_query, topk=topk, mode=mode,
+        query_rows(queries), BooleanFilteredQueryExecutor, index_dir,
+        filter_query=filter_query, topk=topk, mode=mode,
     )
 
 
@@ -1453,7 +1404,6 @@ def hybrid_search_topk(
     dim: int = 16,
     rrf_k: int = 60,
     vectors: ray.data.Dataset | None = None,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Hybrid sparse+dense retrieval with Reciprocal Rank Fusion:
     ``rrf(d) = 1/(rrf_k + rank_bm25(d)) + 1/(rrf_k + rank_cosine(d))``
@@ -1519,9 +1469,7 @@ def hybrid_search_topk(
     pending = qlist
     fetch = 2 * m
     while pending:
-        sparse_raw = search_topk(
-            index_dir, pending, topk=fetch, concurrency=concurrency
-        ).take_all()
+        sparse_raw = search_topk(index_dir, pending, topk=fetch).take_all()
         got: dict[int, list[tuple[float, int]]] = {qid: [] for qid, _ in pending}
         for r in sparse_raw:
             got[int(r["query_id"])].append(
@@ -1693,13 +1641,12 @@ def search_topk_filtered_range(
     hi: float | None = None,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 over only docs with ``lo <= attr <= hi`` (numeric range
     filter, e.g. document length bands). Scores equal unfiltered scores."""
     return index_stage(
-        _query_rows(queries), RangeFilteredQueryExecutor, index_dir,
-        concurrency=concurrency, attr=attr, lo=lo, hi=hi, topk=topk, mode=mode,
+        query_rows(queries), RangeFilteredQueryExecutor, index_dir,
+        attr=attr, lo=lo, hi=hi, topk=topk, mode=mode,
     )
 
 
@@ -1762,7 +1709,6 @@ def search_topk_after(
     cursors: Iterable[tuple[int, str, float, int]] | ray.data.Dataset,
     topk: int = 10,
     mode: str = "taat",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Next page of BM25 results strictly after a per-query cursor.
 
@@ -1783,10 +1729,7 @@ def search_topk_after(
             }
             for q, t, s, d in cursors
         ]
-    return index_stage(
-        cursors, SearchAfterExecutor, index_dir, concurrency=concurrency, topk=topk,
-        mode=mode,
-    )
+    return index_stage(cursors, SearchAfterExecutor, index_dir, topk=topk, mode=mode)
 
 
 class CollapseTopkExecutor(SearchAfterExecutor):
@@ -1867,13 +1810,12 @@ def search_topk_collapsed(
     attr: str,
     topk: int = 10,
     mode: str = "taat",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 with at most one result per ``attr`` value per query
     (field collapsing). Output (query_id, rank, doc_id, score) with rank
     1..topk over the COLLAPSED list and 6-dp-rounded scores."""
     return index_stage(
-        _query_rows(queries), CollapseTopkExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), CollapseTopkExecutor, index_dir,
         attr=attr, topk=topk, mode=mode,
     )
 
@@ -1974,14 +1916,13 @@ def search_topk_fielded(
     weights: dict[str, float],
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Field-weighted BM25 top-k over per-field indexes (e.g. a boosted
     title index beside the content index). Output (query_id, rank, doc_id,
     score) with 6-dp-rounded scores, ties by doc_id."""
     return index_stage(
-        _query_rows(queries), FieldedQueryExecutor, index_dirs,
-        concurrency=concurrency, weights=weights, topk=topk,
+        query_rows(queries), FieldedQueryExecutor, index_dirs,
+        weights=weights, topk=topk,
     )
 
 
@@ -2053,12 +1994,11 @@ def search_topk_bm25f_true(
     topk: int = 10,
     k1: float = 1.2,
     b: float = 0.75,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """True (saturation-folded) BM25F top-k over per-field indexes — see
     ``BM25FTrueExecutor``. Output (query_id, rank, doc_id, score)."""
     return index_stage(
-        _query_rows(queries), BM25FTrueExecutor, index_dirs, concurrency=concurrency,
+        query_rows(queries), BM25FTrueExecutor, index_dirs,
         weights=weights, topk=topk, k1=k1, b=b,
     )
 
@@ -2069,7 +2009,6 @@ def search_topk_dismax(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     tie_breaker: float = 0.3,
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Disjunction-max multi-field top-k: per-field weighted BM25
     contributions combined as ``max + tie_breaker * (sum - max)`` — the
@@ -2077,8 +2016,8 @@ def search_topk_dismax(
     sum. Output (query_id, rank, doc_id, score), 6-dp scores, ties by
     doc_id."""
     return index_stage(
-        _query_rows(queries), FieldedQueryExecutor, index_dirs,
-        concurrency=concurrency, weights=weights, topk=topk, combine="dismax",
+        query_rows(queries), FieldedQueryExecutor, index_dirs,
+        weights=weights, topk=topk, combine="dismax",
         tie_breaker=tie_breaker,
     )
 
@@ -2087,7 +2026,6 @@ def rank_eval(
     index_dir: str,
     queries: list[tuple[int, str]],
     k: int = 10,
-    concurrency: int | None = None,
 ) -> pa.Table:
     """IR ranking-quality evaluation of the BM25 run: per query, nDCG@k
     (binary gain), MRR@k, recall@k and the relevant-set size, against
@@ -2123,7 +2061,7 @@ def rank_eval(
     from distributed_text_search_ray.pipelines.boolquery import _RelevanceStatsExecutor
 
     qlist = [(int(q), str(s)) for q, s in queries]
-    hits = search_topk(index_dir, qlist, topk=k, concurrency=concurrency).take_all()
+    hits = search_topk(index_dir, qlist, topk=k).take_all()
     hit_set = {(r["query_id"], r["doc_id"]) for r in hits}
 
     conj = [(qid, " AND ".join(text.split())) for qid, text in qlist]
@@ -2131,10 +2069,9 @@ def rank_eval(
         [d for q2, d in hit_set if q2 == qid], dtype=np.int64
     )) for qid, _ in qlist}
 
-    items = [{"query_id": qid, "query": q} for qid, q in conj]
     res = index_stage(
-        items, _RelevanceStatsExecutor, index_dir, batch_size=1,
-        concurrency=concurrency, hit_docs=hit_docs,
+        query_rows(conj), _RelevanceStatsExecutor, index_dir, batch_size=1,
+        hit_docs=hit_docs,
     ).take_all()  # bounded: one count row + <=k flag rows per query
     n_rel: dict[int, int] = {}
     rel_hits: set[tuple[int, int]] = set()
@@ -2250,17 +2187,13 @@ def explain_topk(
     index_dir: str,
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """ES-style ``explain``: (query_id, rank, doc_id, term, contribution,
     score) for the top-k of each query — contribution the exact per-term
     BM25 addend (rounded 6 dp), score the doc's rounded total. The ranked
     doc set and order are identical to ``search_topk`` + rounded re-rank.
     """
-    return index_stage(
-        _query_rows(queries), ExplainExecutor, index_dir, concurrency=concurrency,
-        topk=topk,
-    )
+    return index_stage(query_rows(queries), ExplainExecutor, index_dir, topk=topk)
 
 
 # ---------------------------------------------------------------------------
@@ -2315,14 +2248,13 @@ def search_topk_negated(
     queries: Iterable[tuple[int, str]] | ray.data.Dataset,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 where query tokens prefixed ``-`` EXCLUDE every document
     containing them (ES bool must + must_not). Surviving docs keep their
     exact unrestricted BM25 scores. Negating a term absent from the corpus
     is a no-op; a query that is only negations returns no rows."""
     return index_stage(
-        _query_rows(queries), NegatedQueryExecutor, index_dir, concurrency=concurrency,
+        query_rows(queries), NegatedQueryExecutor, index_dir,
         topk=topk, mode=mode,
     )
 
@@ -2366,7 +2298,6 @@ def search_topk_routed(
     queries: Iterable[tuple[int, str, str]] | ray.data.Dataset,
     topk: int = 10,
     mode: str = "maxscore",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Top-k BM25 with query ROUTING: ``queries`` are (query_id, text,
     route); each is answered by the single member index ``members[route]``
@@ -2379,8 +2310,8 @@ def search_topk_routed(
     more members than that reopens them (sort or split it by route to
     avoid the churn)."""
     return index_stage(
-        _query_rows(queries, ("query", "route")), RoutedQueryExecutor, None,
-        concurrency=concurrency, members=members, topk=topk, mode=mode,
+        query_rows(queries, ("query", "route")), RoutedQueryExecutor, None,
+        members=members, topk=topk, mode=mode,
     )
 
 
@@ -2410,7 +2341,6 @@ def rm3_topk(
     lam: float = 0.6,
     topk: int = 10,
     fetch_pad: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """RM3 pseudo-relevance-feedback query expansion (Lavrenko & Croft
     relevance models; the Anserini/ES default feedback pipeline shape):
@@ -2441,9 +2371,7 @@ def rm3_topk(
 
     tokenizer = Tokenizer(view.cfg.analyzer)
 
-    hits = search_topk(
-        index_dir, qlist, topk=fb_docs + fetch_pad, concurrency=concurrency
-    ).take_all()
+    hits = search_topk(index_dir, qlist, topk=fb_docs + fetch_pad).take_all()
     by_q: dict[int, list[tuple[int, float]]] = {}
     for r in hits:
         by_q.setdefault(r["query_id"], []).append((r["doc_id"], r["score"]))
@@ -2504,9 +2432,7 @@ def rm3_topk(
         )
     if not expanded:
         return ray.data.from_arrow(TOPK_SCHEMA.empty_table())
-    return index_stage(
-        expanded, WeightedTermExecutor, index_dir, concurrency=concurrency, topk=topk,
-    )
+    return index_stage(expanded, WeightedTermExecutor, index_dir, topk=topk)
 
 
 def term_vectors(
@@ -2652,7 +2578,6 @@ class _AdjacencyMatrixExecutor:
 def adjacency_matrix(
     index_dir: str,
     filters: dict[str, str],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """ES ``adjacency_matrix`` aggregation: named single-term filters ->
     doc counts of every pairwise intersection (diagonal = the filter's own
@@ -2661,10 +2586,7 @@ def adjacency_matrix(
     items = [
         {"keys": sorted(filters), "terms": [filters[k] for k in sorted(filters)]}
     ]
-    return index_stage(
-        items, _AdjacencyMatrixExecutor, index_dir, batch_size=1,
-        concurrency=concurrency,
-    )
+    return index_stage(items, _AdjacencyMatrixExecutor, index_dir, batch_size=1)
 
 
 def rare_terms(index_dir: str, max_df: int = 2) -> ray.data.Dataset:

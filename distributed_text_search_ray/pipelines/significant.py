@@ -97,7 +97,6 @@ def significant_terms(
     topn: int = 10,
     min_fg_df: int = 1,
     max_fg_docs: int = 5_000_000,
-    concurrency=None,
 ) -> ray.data.Dataset:
     """(query_id, rank, term, fg_df, bg_df, lift) — ``topn`` most
     over-represented terms among each boolean query's matching docs."""
@@ -105,7 +104,7 @@ def significant_terms(
     n_docs = int(meta["N"])
     n_parts = int(meta["num_partitions"])
 
-    hit_rows = boolean_search(index_dir, queries, concurrency=concurrency).take_all()
+    hit_rows = boolean_search(index_dir, queries).take_all()
     if len(hit_rows) > max_fg_docs:
         raise ValueError(
             f"{len(hit_rows)} foreground hits exceed max_fg_docs="

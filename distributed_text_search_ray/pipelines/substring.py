@@ -117,7 +117,6 @@ class _SubstringExecutor:
 def substring_search(
     index_dir: str,
     needles: Iterable[tuple[int, str]],
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """(needle_id, doc_id, n_occurrences) for every doc whose content
     contains the needle, case-insensitive, overlapping starts counted —
@@ -127,7 +126,6 @@ def substring_search(
     # so a small needle batch must fan out over one task per CPU
     return index_stage(
         _needle_rows(needles), _SubstringExecutor, index_dir, batch_size=1,
-        concurrency=concurrency,
     )
 
 
@@ -177,7 +175,6 @@ def substring_match_counts(
     docs: ray.data.Dataset,
     needles: Iterable[tuple[int, str]],
     text_column: str = "content",
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Scan plan over the corpus — same output contract as
     ``substring_search``, no index required, any needle length >= 1."""

@@ -32,7 +32,6 @@ import ray.data
 
 from distributed_text_search_ray.sources.corpus import corpus_files
 from distributed_text_search_ray.state import manifest as mf
-from distributed_text_search_ray.util import resolve_concurrency
 
 
 def _transform_fingerprint(tag: str) -> str:
@@ -106,7 +105,6 @@ def write_corpus_resumable(
     out_dir: str,
     transform: Callable[[pa.Table], pa.Table] | None = None,
     transform_tag: str = "identity",
-    concurrency: int | None = None,
 ) -> dict:
     """Materialize (optionally transformed) corpus shards to ``out_dir``,
     skipping shards already complete for the same (input, transform) lineage.
@@ -125,15 +123,9 @@ def write_corpus_resumable(
     reports = (
         ray.data.from_items([{"path": p} for p in files])
         .map_batches(
-            _ShardWriter,
-            fn_constructor_kwargs={
-                "out_dir": out_dir,
-                "transform": transform,
-                "tag": transform_tag,
-            },
+            _ShardWriter(out_dir, transform, transform_tag),
             batch_format="pyarrow",
             batch_size=1,
-            concurrency=resolve_concurrency(concurrency),
         )
         .take_all()
     )

@@ -5,8 +5,7 @@ is a read-only index, which a worker process opens once per index generation
 and keeps (``executor.open_view``), so the stage runs as plain Ray tasks and
 no actor pool starts per call. Each task builds its executor once, on its
 first batch, around the worker's view(s) of the generation current at that
-moment. Stages whose state is a model or a writer keep their actor pools
-(``util.resolve_concurrency``).
+moment.
 """
 
 from __future__ import annotations
@@ -44,13 +43,26 @@ def _row_blocks(rows: list[dict] | pa.Table, batch_size: int) -> ray.data.Datase
     return ray.data.from_arrow([table.slice(i, step) for i in range(0, len(rows), step)])
 
 
+def query_rows(queries, columns=("query",)) -> pa.Table | ray.data.Dataset:
+    """(query_id, *strings) tuples as a typed table with an int64
+    ``query_id`` and one string column per name in ``columns`` (a Dataset
+    passes through): typed even when empty, so an empty query list gets
+    typed output."""
+    if isinstance(queries, ray.data.Dataset):
+        return queries
+    queries = list(queries)
+    table = {"query_id": pa.array([int(q[0]) for q in queries], pa.int64())}
+    for i, name in enumerate(columns, 1):
+        table[name] = pa.array([str(q[i]) for q in queries], pa.string())
+    return pa.table(table)
+
+
 def index_stage(
     rows: list[dict] | pa.Table | ray.data.Dataset,
     executor,
     index,
     *,
     batch_size: int | None = 8,
-    concurrency: int | None = None,
     **kwargs,
 ) -> ray.data.Dataset:
     """``executor(views, **kwargs)`` applied to ``rows`` as a task stage.
@@ -63,8 +75,7 @@ def index_stage(
     kept as it is, or a table or list of row dicts (see :func:`_row_blocks`).
     A table with no rows is answered here, by the executor applied to it:
     Ray Data never calls a stage on an empty block, so only this gives the
-    output the executor's schema. ``concurrency`` caps the tasks running at
-    once (default: one per CPU).
+    output the executor's schema.
     """
     ex = None
 
@@ -80,6 +91,4 @@ def index_stage(
         rows = _row_blocks(rows, batch_size or 1)
     # Ray Data names the operator after the function
     run.__name__ = run.__qualname__ = executor.__name__
-    return rows.map_batches(
-        run, batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency
-    )
+    return rows.map_batches(run, batch_format="pyarrow", batch_size=batch_size)

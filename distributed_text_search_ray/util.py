@@ -35,22 +35,21 @@ def round_half_away(x, ndigits: int = 6):
     return math.copysign((f + 1 if ax - f >= 0.5 else f) / p, x)
 
 
-def resolve_concurrency(concurrency=None):
-    """Default actor-pool sizing for the stages that keep actors — those
-    whose state is a model or a writer (``ann``, ``multimodal``,
-    ``sources.sink``); index query stages and ``boolquery.percolate`` run
-    as tasks (``stages.index_stage``). Autoscales between 1 and
-    the cluster CPU count so a single stage never reserves every CPU (which
-    would starve the read/write stages and serialize the pipeline)."""
-    if concurrency is not None:
-        return concurrency
+def collect_table(ds):
+    """A bounded Dataset as one pyarrow Table, collected through its Arrow
+    block refs rather than ``to_pandas``: Ray's ``to_pandas`` returns a
+    column-less frame when every block is empty, even though the blocks
+    carry a schema, and an empty result must keep its schema."""
+    import pyarrow as pa
     import ray
 
-    try:
-        n = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        n = 4
-    return (1, max(2, n))
+    tables = [
+        t if isinstance(t, pa.Table) else pa.table(t) for t in ray.get(ds.to_arrow_refs())
+    ]
+    non_empty = [t for t in tables if t.num_rows]
+    if non_empty:
+        return pa.concat_tables(non_empty)
+    return tables[0] if tables else pa.table({})
 
 
 def agg_rename(t, keys, aggs, names):

@@ -26,20 +26,12 @@ TABLES = [
 def to_table(result):
     import pandas as pd
     import pyarrow as pa
-    import ray
     import ray.data
 
+    from distributed_text_search_ray.util import collect_table
+
     if isinstance(result, ray.data.Dataset):
-        # arrow refs, not to_pandas: an all-blocks-empty Dataset must keep
-        # its schema (to_pandas returns a column-less frame there)
-        tables = [
-            t if isinstance(t, pa.Table) else pa.table(t)
-            for t in ray.get(result.to_arrow_refs())
-        ]
-        non_empty = [t for t in tables if t.num_rows]
-        if non_empty:
-            return pa.concat_tables(non_empty)
-        return tables[0] if tables else pa.table({})
+        return collect_table(result)
     if isinstance(result, pd.DataFrame):
         return pa.Table.from_pandas(result)
     return result

@@ -12,6 +12,8 @@ import pytest
 import ray
 
 from distributed_text_search_ray import IndexConfig
+from distributed_text_search_ray.pipelines import boolquery as bq
+from distributed_text_search_ray.pipelines import phrase as ph
 from distributed_text_search_ray.pipelines import search as s
 from distributed_text_search_ray.pipelines.build import build_index
 from distributed_text_search_ray.stages.executor import (
@@ -256,6 +258,29 @@ EMPTY_LISTS = {
         )
     },
 }
+
+# boolean, facet and positional operators: (query_id, query) input rows
+EMPTY_LISTS.update(
+    {
+        name: (
+            lambda fx, op=op, kw=kw: op(fx.idx, [], **kw),
+            lambda fx, ex=ex, kw=kw: ex(fx.idx, **kw)(QUERY.empty_table()).schema,
+        )
+        for name, op, ex, kw in (
+            ("boolean", bq.boolean_search, bq._BooleanExecutor, {}),
+            ("facet", bq.facet_counts, bq._FacetExecutor, {"attr": "lang"}),
+            ("phrase_positional", ph.phrase_search_positional, ph._PhrasePositionalExecutor, {}),
+            ("proximity", ph.proximity_search, ph._ProximityExecutor, {"max_span": 3}),
+            ("span_near", ph.span_near_search, ph._SpanNearExecutor, {"slop": 1}),
+            (
+                "phrase_prefix",
+                ph.match_phrase_prefix,
+                ph._PhrasePrefixExecutor,
+                {"max_expansions": 5},
+            ),
+        )
+    }
+)
 
 
 @pytest.mark.parametrize("case", list(EMPTY_LISTS))
