@@ -4,7 +4,8 @@ Default: runs the headline pipelines (index build + the full query suite)
 over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
 ``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32)`` and prints ONE
 JSON line: {"metric", "value" (total sec), "unit", "queries" (per-pipeline
-sec), "sf", "num_cpus", plus build/query throughput detail}.
+sec), "sf", "num_cpus", plus build/query throughput detail}. Every mode's
+stdout is that JSON line alone; logs and warnings go to stderr.
 
 ``--scaling``: runs the same build+query job in fresh subprocesses at
 num_cpus=4 and num_cpus=16 (N and 4N; see CPUS_LO note) over a 2.6 GB
@@ -194,7 +195,7 @@ def ensure_scaling_corpus() -> str:
     return SCALING_CORPUS
 
 
-def scaling_worker(num_cpus: int) -> None:
+def scaling_worker(num_cpus: int) -> dict:
     ray = _init_ray(num_cpus)
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from distributed_text_search_ray.config import IndexConfig
@@ -222,15 +223,15 @@ def scaling_worker(num_cpus: int) -> None:
     t0 = time.perf_counter()
     search_topk(index_dir, queries, topk=10).take_all()
     query_sec = time.perf_counter() - t0
-    print(json.dumps({
+    ray.shutdown()
+    return {
         "num_cpus": num_cpus,
         "build_sec": round(build_sec, 3),
         "query_sec": round(query_sec, 3),
         "n_docs": report["N"],
         "docs_per_sec": round(report["N"] / build_sec, 1),
         "phases": {k: round(v["sec"], 2) for k, v in report["phases"].items()},
-    }))
-    ray.shutdown()
+    }
 
 
 CPUS_LO = int(os.environ.get("GRAFT_SCALING_CPUS_LO", "4"))
@@ -253,7 +254,7 @@ def _one_worker(n: int) -> dict:
         text=True,
         check=True,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(out)
 
 
 def run_scaling(repeats: int | None = None) -> dict:
@@ -303,7 +304,7 @@ def run_scaling(repeats: int | None = None) -> dict:
 
 # ------------------- compute-bound scaling supplement -------------------
 
-def scaling_apm_worker(num_cpus: int) -> None:
+def scaling_apm_worker(num_cpus: int) -> dict:
     """Engine scaling on a CPU-cache-resident workload: the APM banded-DP
     scan (stream plan) over a small in-memory corpus. The index BUILD
     streams every corpus byte, so its measured efficiency is capped by the
@@ -333,12 +334,12 @@ def scaling_apm_worker(num_cpus: int) -> None:
     windowed_match_counts(ds, pats, plan="stream").take_all()
     sec = time.perf_counter() - t0
     positions = len(docs) * 60_000 * len(pats)
-    print(json.dumps({
+    ray.shutdown()
+    return {
         "num_cpus": num_cpus,
         "apm_sec": round(sec, 3),
         "mpos_per_sec": round(positions / sec / 1e6, 1),
-    }))
-    ray.shutdown()
+    }
 
 
 def run_scaling_apm(repeats: int = 3) -> dict:
@@ -348,7 +349,7 @@ def run_scaling_apm(repeats: int = 3) -> dict:
             [sys.executable, os.path.abspath(__file__), "--scaling-apm-worker", str(n)],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
-        return json.loads(out.strip().splitlines()[-1])["apm_sec"]
+        return json.loads(out)["apm_sec"]
 
     pairs = []
     for _ in range(repeats):
@@ -426,16 +427,30 @@ def run_reference_shapes() -> dict:
     return {"metric": "reference_scenarios_apm", "num_cpus": NUM_CPUS, "scenarios": out}
 
 
+def _result_stream():
+    """Send everything but the result to stderr: point fd 1 at fd 2 and
+    return a stream on the original stdout. Ray's raylet warnings (e.g. "N
+    PYTHON worker processes have been started") reach the driver's stdout
+    even with ``log_to_driver=False``, and a caller — the ``--scaling``
+    modes included — parses the whole stdout as one JSON document."""
+    sys.stdout.flush()
+    result = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)
+    return result
+
+
 if __name__ == "__main__":
+    result = _result_stream()
     if "--reference-shapes" in sys.argv:
-        print(json.dumps(run_reference_shapes()))
+        res = run_reference_shapes()
     elif "--scaling-apm-worker" in sys.argv:
-        scaling_apm_worker(int(sys.argv[sys.argv.index("--scaling-apm-worker") + 1]))
+        res = scaling_apm_worker(int(sys.argv[sys.argv.index("--scaling-apm-worker") + 1]))
     elif "--scaling-apm" in sys.argv:
-        print(json.dumps(run_scaling_apm()))
+        res = run_scaling_apm()
     elif "--scaling-worker" in sys.argv:
-        scaling_worker(int(sys.argv[sys.argv.index("--scaling-worker") + 1]))
+        res = scaling_worker(int(sys.argv[sys.argv.index("--scaling-worker") + 1]))
     elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
+        res = run_scaling()
     else:
-        print(json.dumps(run_suite()))
+        res = run_suite()
+    print(json.dumps(res), file=result, flush=True)

@@ -10,14 +10,19 @@ A. **tokenize + partition** — one task per corpus shard: analyze, assign each
    ~15 s serial component that capped scaling efficiency at ~0.5).
 B. **segments** — one task per partition: read exactly the files the phase-A
    manifests attribute to it, sort, delta+varbyte encode, write
-   atomically. Embarrassingly parallel; resumable per
-   partition.
+   atomically (the part protocol of ``stages.segment_build``).
+   Embarrassingly parallel; resumable per partition.
 C. **dictionary** — merge the per-partition term tables (vocabulary-sized,
    tiny next to the pairs) with a ``groupby(term)`` into the sorted global
    dictionary (term, df, cf); terms present in >1 partition (the salted ones)
    get their exact global df recorded for the query side.
-D. **finalize** — ``index_meta.json``: global stats, multi-partition df map,
-   per-partition metrics, completeness flag.
+D. **finalize** — ``stats.json``, then ``index_meta.json``: global stats,
+   multi-partition df map, per-partition metrics, completeness flag.
+
+``merge_indexes``, ``compact_index`` and ``reshard_index`` rewrite segments
+with the same phase-B protocol and finish with the same
+:func:`finalize_index` (merge and compact also with
+:func:`write_dictionary`), so every index producer resumes the same way.
 
 The reference analog of the lifecycle is plan/exchange/compute/merge in
 ``src/flexible_mpi.c:290-570``; resumability and lineage are new (the
@@ -33,12 +38,18 @@ from dataclasses import asdict
 
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from distributed_text_search_ray.config import IndexConfig
 from distributed_text_search_ray.util import agg_rename
 from distributed_text_search_ray.sources.corpus import corpus_files
-from distributed_text_search_ray.stages.segment_build import SegmentBuilder
+from distributed_text_search_ray.stages.segment_build import (
+    finished_part,
+    part_dir,
+    read_pair_files,
+    run_part_tasks,
+    write_part,
+)
 from distributed_text_search_ray.stages.tokenize_stage import TokenizeShard, shard_manifest_dir
 from distributed_text_search_ray.state import manifest as mf
 
@@ -100,17 +111,12 @@ def build_index(
     os.makedirs(index_dir, exist_ok=True)
     report: dict = {"fingerprint": fp, "phases": {}}
 
-    meta_path = os.path.join(index_dir, META_FILE)
-    if os.path.exists(meta_path):
-        meta = read_index_meta(index_dir)
-        if meta.get("fingerprint") == fp and meta.get("complete"):
-            report["skipped"] = True
-            report.update(meta)
-            return report
+    done = finished_index(index_dir, fp)
+    if done is not None:
+        return {**report, "skipped": True, **done}
 
     pairs_dir = os.path.join(index_dir, "pairs")
-    seg_parent = os.path.join(index_dir, "segments")
-    mf.gc_tmp_dirs(seg_parent)
+    mf.gc_tmp_dirs(os.path.join(index_dir, "segments"))
 
     # ---- Phase A: tokenize + partition -> per-partition pair files ----
     t0 = time.perf_counter()
@@ -130,7 +136,6 @@ def build_index(
     )
     N = int(sum(r["n_docs"] for r in shard_stats))
     total_tokens = int(sum(r["n_tokens"] for r in shard_stats))
-    avgdl = total_tokens / N if N else 0.0
     report["phases"]["tokenize"] = {
         "sec": time.perf_counter() - t0,
         "shards": len(shards),
@@ -179,11 +184,13 @@ def build_index(
                 pass
 
     # ---- Phase B: per-partition segment build (no all-to-all) ----
-    t0 = time.perf_counter()
-    builder = SegmentBuilder(index_dir, fp, cfg)
-
-    def build_part_batch(batch: pa.Table) -> pa.Table:
-        return builder(batch)
+    def build_part(item: dict) -> list[dict]:
+        part = item["part"]
+        row = finished_part(index_dir, part, fp)
+        if row is None:
+            pairs = read_pair_files(item["files"], item["row_groups"], cfg.store_positions)
+            row = write_part(index_dir, part, fp, cfg, pairs, n_input_files=len(item["files"]))
+        return [row]
 
     part_items = [
         {
@@ -193,30 +200,14 @@ def build_index(
         }
         for p in range(cfg.num_partitions)
     ]
-    seg_results = (
-        ray.data.from_items(part_items)
-        .map_batches(build_part_batch, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    report["phases"]["segments"] = {
-        "sec": time.perf_counter() - t0,
-        "built": sum(1 for r in seg_results if not r["skipped"]),
-        "skipped": sum(1 for r in seg_results if r["skipped"]),
-    }
+    _, report["phases"]["segments"] = run_part_tasks(part_items, build_part)
 
     # ---- Phase C: global dictionary + exact df for multi-partition terms ----
     t0 = time.perf_counter()
-    dict_dir = os.path.join(index_dir, "dictionary")
-    hot_df: dict[str, int] = {}
-    terms_files = [
-        os.path.join(seg_parent, f"part={p:05d}", "terms.parquet")
-        for p in range(cfg.num_partitions)
-    ]
     stats_blob = None
-    if mf.is_complete(dict_dir, fp) and os.path.exists(
-        os.path.join(index_dir, "stats.json")
-    ):
-        with open(os.path.join(index_dir, "stats.json")) as f:
+    stats_path = os.path.join(index_dir, "stats.json")
+    if mf.is_complete(os.path.join(index_dir, "dictionary"), fp) and os.path.exists(stats_path):
+        with open(stats_path) as f:
             blob = json.load(f)
         # a crash between the dictionary rename and the stats.json replace
         # leaves a current dictionary next to a STALE stats.json — trusting
@@ -228,106 +219,124 @@ def build_index(
         hot_df = {k: int(v) for k, v in stats_blob["hot_df"].items()}
         report["phases"]["dictionary"] = {"sec": time.perf_counter() - t0, "skipped": True}
     else:
-        total_terms = sum(
-            mf.read_manifest(os.path.join(seg_parent, f"part={p:05d}"))["n_terms"]
-            for p in range(cfg.num_partitions)
+        hot_df, report["phases"]["dictionary"] = write_dictionary(
+            index_dir, fp, cfg.num_partitions, salted_union
         )
-        if total_terms <= 5_000_000:
-            # vocabulary is small: merge the per-partition term tables on the
-            # driver with pure pyarrow — saves two Ray execution startups of
-            # fixed cost per build. The Ray groupby path below handles
-            # vocabularies that do not fit one process.
-            import pyarrow.compute as pc
-            import pyarrow.parquet as pq_
-
-            t = pa.concat_tables(
-                pq_.read_table(f, columns=["term", "df", "cf"]) for f in terms_files
-            )
-            g = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-            g = agg_rename(
-                g, ["term"], [("df", "sum"), ("cf", "sum")], ["df", "cf"]
-            ).sort_by("term")
-            with mf.AtomicDir(dict_dir) as tmp:
-                pq_.write_table(g, os.path.join(tmp, "dictionary.parquet"))
-                mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fp})
-            if salted_union:
-                keep = pc.is_in(
-                    g.column("term"), value_set=pa.array(sorted(salted_union))
-                )
-                sel = g.filter(keep)
-                hot_df = {
-                    t_: int(d)
-                    for t_, d in zip(
-                        sel.column("term").to_pylist(), sel.column("df").to_pylist()
-                    )
-                }
-        else:
-            merged = (
-                ray.data.read_parquet(terms_files, columns=["term", "df", "cf"])
-                .groupby("term")
-                .aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
-                .sort("term")
-                .materialize()
-            )
-            with mf.AtomicDir(dict_dir) as tmp:
-                merged.write_parquet(tmp)
-                mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fp})
-            # exact global df for every term any shard salted (n_parts>1 alone
-            # is NOT sufficient: all of a term's salt buckets can hash to a
-            # single partition that differs from its base partition)
-            salted = salted_union
-
-            def pick_salted(batch: pa.Table) -> pa.Table:
-                keep = [t in salted for t in batch.column("term").to_pylist()]
-                return batch.filter(pa.array(keep))
-
-            multi = merged.map_batches(pick_salted, batch_format="pyarrow").take_all()
-            hot_df = {r["term"]: int(r["df"]) for r in multi}
-        stats_path = os.path.join(index_dir, "stats.json")
-        with open(stats_path + ".tmp", "w") as f:
-            json.dump(
-                {
-                    "fingerprint": fp,
-                    "N": N,
-                    "total_tokens": total_tokens,
-                    "avgdl": avgdl,
-                    "hot_df": hot_df,
-                },
-                f,
-                indent=1,
-                sort_keys=True,
-            )
-        os.replace(stats_path + ".tmp", stats_path)
-        report["phases"]["dictionary"] = {
-            "sec": time.perf_counter() - t0,
-            "skipped": False,
-            "multi_part_terms": len(hot_df),
-        }
 
     # ---- Phase D: finalize ----
+    report.update(finalize_index(index_dir, fp, cfg, N, total_tokens, hot_df))
+    return report
+
+
+def finished_index(out_dir: str, fingerprint: str) -> dict | None:
+    """The meta of an index already completed under ``fingerprint``, or
+    ``None`` when it must be (re)built."""
+    if not os.path.exists(os.path.join(out_dir, META_FILE)):
+        return None
+    meta = read_index_meta(out_dir)
+    return meta if meta.get("fingerprint") == fingerprint and meta.get("complete") else None
+
+
+def write_dictionary(
+    index_dir: str, fingerprint: str, num_partitions: int, salted
+) -> tuple[dict[str, int], dict]:
+    """Merge the per-partition term tables into the sorted global dictionary
+    (term, df, cf). Returns the exact global df of every term in ``salted``
+    (``hot_df``: n_parts>1 alone is NOT sufficient — all of a term's salt
+    buckets can hash to a single partition that differs from its base
+    partition) and the phase report."""
+    t0 = time.perf_counter()
+    dict_dir = os.path.join(index_dir, "dictionary")
+    terms_files = [
+        os.path.join(part_dir(index_dir, p), "terms.parquet") for p in range(num_partitions)
+    ]
+    total_terms = sum(
+        mf.read_manifest(part_dir(index_dir, p))["n_terms"] for p in range(num_partitions)
+    )
+    hot_df: dict[str, int] = {}
+    if total_terms <= 5_000_000:
+        # vocabulary is small: merge the per-partition term tables on the
+        # driver with pure pyarrow — saves two Ray execution startups of
+        # fixed cost per build. The Ray groupby path below handles
+        # vocabularies that do not fit one process.
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        t = pa.concat_tables(pq.read_table(f, columns=["term", "df", "cf"]) for f in terms_files)
+        g = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+        g = agg_rename(g, ["term"], [("df", "sum"), ("cf", "sum")], ["df", "cf"]).sort_by("term")
+        with mf.AtomicDir(dict_dir) as tmp:
+            pq.write_table(g, os.path.join(tmp, "dictionary.parquet"))
+            mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fingerprint})
+        if salted:
+            sel = g.filter(pc.is_in(g.column("term"), value_set=pa.array(sorted(salted))))
+            hot_df = {
+                t_: int(d)
+                for t_, d in zip(sel.column("term").to_pylist(), sel.column("df").to_pylist())
+            }
+    else:
+        merged = (
+            ray.data.read_parquet(terms_files, columns=["term", "df", "cf"])
+            .groupby("term")
+            .aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
+            .sort("term")
+            .materialize()
+        )
+        with mf.AtomicDir(dict_dir) as tmp:
+            merged.write_parquet(tmp)
+            mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fingerprint})
+        salted = set(salted)
+
+        def pick_salted(batch: pa.Table) -> pa.Table:
+            keep = [t in salted for t in batch.column("term").to_pylist()]
+            return batch.filter(pa.array(keep))
+
+        multi = merged.map_batches(pick_salted, batch_format="pyarrow").take_all()
+        hot_df = {r["term"]: int(r["df"]) for r in multi}
+    return hot_df, {
+        "sec": time.perf_counter() - t0,
+        "skipped": False,
+        "multi_part_terms": len(hot_df),
+    }
+
+
+def finalize_index(
+    out_dir: str,
+    fingerprint: str,
+    cfg: IndexConfig,
+    N: int,
+    total_tokens: int,
+    hot_df: dict[str, int],
+    **lineage,
+) -> dict:
+    """Write ``stats.json`` and then ``index_meta.json`` (global stats, the
+    per-partition stats of the part manifests, ``lineage`` — e.g.
+    ``merged_from`` — and the completeness flag), each atomically. The meta
+    is written last: it is what marks the index complete. Returns it."""
+    avgdl = total_tokens / N if N else 0.0
+    stats = {"fingerprint": fingerprint, "N": N, "total_tokens": total_tokens,
+             "avgdl": avgdl, "hot_df": hot_df}
     part_stats = {}
     max_doc_id = -1
     for p in range(cfg.num_partitions):
-        m = mf.read_manifest(os.path.join(seg_parent, f"part={p:05d}"))
+        m = mf.read_manifest(part_dir(out_dir, p))
         part_stats[p] = {k: m[k] for k in ("n_terms", "n_postings", "sum_tf")}
         max_doc_id = max(max_doc_id, m.get("max_doc_id", -1))
     meta = {
+        **stats,
+        **lineage,
         "max_doc_id": max_doc_id,
-        "fingerprint": fp,
         "config": asdict(cfg),
-        "N": N,
-        "total_tokens": total_tokens,
-        "avgdl": avgdl,
-        "hot_df": hot_df,
         "num_partitions": cfg.num_partitions,
         "part_stats": part_stats,
         "complete": True,
     }
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-    os.replace(meta_path + ".tmp", meta_path)
-    report.update(meta)
-    return report
+    for name, blob in (("stats.json", stats), (META_FILE, meta)):
+        path = os.path.join(out_dir, name)
+        with open(path + ".tmp", "w") as f:
+            json.dump(blob, f, indent=1, sort_keys=True)
+        os.replace(path + ".tmp", path)
+    return meta
 
 
 def delete_docs(index_dir: str, doc_ids) -> dict:
@@ -339,8 +348,9 @@ def delete_docs(index_dir: str, doc_ids) -> dict:
     query path (BM25/fuzzy/boolean/phrase/facets). Corpus stats stay at
     build-time values until a rebuild — the standard stale-stats contract.
     ``merge_indexes`` unions sources' tombstones into the output, so
-    deletions survive merges; a full rebuild over the surviving corpus is
-    the compaction path.
+    deletions survive merges; ``merge.compact_index`` is the compaction
+    path: it rewrites the segments without the deleted docs' pairs and
+    recomputes the stats, without re-tokenizing.
     """
     import numpy as np
     import pyarrow as pa

@@ -12,18 +12,20 @@ Requirements (validated): every source index is complete, shares the same
 partition routing agrees), and covers a disjoint doc-id set (checked during
 the merge — overlapping (term, doc) pairs abort).
 
-Plan (Ray-Data-first, resumable):
+Plan (Ray-Data-first, resumable), the part protocol of
+``stages.segment_build`` shared with the build, compaction and reshard:
 
-- one ``map_batches`` task per partition p: decode each source's
-  ``part=p`` segment back to its pair stream (``read_segment_pairs`` —
-  one vectorized varbyte decode per stream, NOT a per-term Python loop),
-  recode onto the union term dictionary, lexsort by (term, doc), re-encode
-  with ``build_segment_tables``, write atomically with a lineage manifest
-  keyed by the merge fingerprint (a killed merge resumes, skipping finished
-  partitions);
-- driver-side (vocabulary-sized): merge the per-partition dictionaries,
-  recompute hot_df for the union of salted terms, write stats + meta;
-  attribute sidecars are copied with a per-source prefix.
+- one task per partition p: decode each source's ``part=p`` segment back
+  to its pair stream (``read_segment_pairs`` — one vectorized varbyte
+  decode per stream, NOT a per-term Python loop), combine the streams on
+  the union term dictionary (``combine_pairs``: lexsort by (term, doc),
+  positions move with their pairs), re-encode and write atomically with a
+  lineage manifest keyed by the merge fingerprint (a killed merge
+  resumes, skipping finished partitions);
+- driver-side (vocabulary-sized): ``build.write_dictionary`` merges the
+  per-partition dictionaries and recomputes hot_df for the union of salted
+  terms, attribute sidecars are copied with a per-source prefix, and
+  ``build.finalize_index`` writes stats + meta.
 
 Scores after merge are identical to a from-scratch build over the union
 corpus whenever per-shard salting decisions agree (they are shard-local,
@@ -38,22 +40,29 @@ import json
 import os
 import shutil
 import time
-from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from distributed_text_search_ray.config import IndexConfig
-from distributed_text_search_ray.util import agg_rename
+from distributed_text_search_ray.pipelines.build import (
+    finalize_index,
+    finished_index,
+    write_dictionary,
+)
 from distributed_text_search_ray.stages.executor import config_from_meta, load_meta
+from distributed_text_search_ray.stages.segment_build import (
+    combine_pairs,
+    finished_part,
+    part_dir,
+    run_part_tasks,
+    write_part,
+)
 from distributed_text_search_ray.state import manifest as mf
 from distributed_text_search_ray.state.alias import resolve_index
-from distributed_text_search_ray.state.segment import (
-    build_segment_tables,
-    read_segment_pairs,
-    write_segment,
-)
+from distributed_text_search_ray.state.segment import read_segment_pairs
 
 
 def _merge_fingerprint(metas: list[dict]) -> str:
@@ -132,159 +141,17 @@ def validate_doc_disjointness(sources: list[str]) -> None:
         )
 
 
-class _MergePart:
-    """map_batches stage: one row = one partition to merge."""
-
-    def __init__(self, sources: list[str], out_dir: str, fingerprint: str,
-                 cfg: IndexConfig):
-        self.sources = sources
-        self.out_dir = out_dir
-        self.fingerprint = fingerprint
-        self.cfg = cfg
-
-    def merge_part(self, part: int) -> dict:
-        seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
-        if mf.is_complete(seg_dir, self.fingerprint):
-            m = mf.read_manifest(seg_dir)
-            return {"part": part, "n_terms": m["n_terms"],
-                    "n_postings": m["n_postings"], "skipped": True}
-        with_pos = self.cfg.store_positions
-        per_src = [
-            read_segment_pairs(
-                os.path.join(s, "segments", f"part={part:05d}"), with_positions=with_pos
-            )
-            for s in self.sources
-        ]
-        union: dict[str, int] = {}
-        for rec in per_src:
-            for t in rec[0]:
-                union.setdefault(t, 0)
-        union_terms = sorted(union)
-        code_of = {t: i for i, t in enumerate(union_terms)}
-        codes_parts, docs_parts, tfs_parts, dls_parts, pos_parts = [], [], [], [], []
-        for rec in per_src:
-            terms, df, docs, tfs, dls = rec[:5]
-            if not len(docs):
-                continue
-            codes_parts.append(
-                np.repeat(
-                    np.fromiter((code_of[t] for t in terms), dtype=np.int64, count=len(terms)),
-                    df,
-                )
-            )
-            docs_parts.append(docs)
-            tfs_parts.append(tfs)
-            dls_parts.append(dls)
-            if with_pos:
-                pos_parts.append(rec[5])
-        # doc-id disjointness across sources — BEST-EFFORT, per partition: a
-        # doc present in two sources would double-count N/total_tokens and
-        # carry inconsistent dl values, and is caught here by any part that
-        # sees it from BOTH sources. Partitioning spreads a doc's postings
-        # over many parts, so in practice a shared doc with any token
-        # overlap is caught; the check CANNOT see a doc whose two token
-        # sets are disjoint AND hash to disjoint partition sets (or that is
-        # token-empty in one source). Exact verification needs a global
-        # doc-id-set comparison — available as the opt-in
-        # ``validate_doc_disjointness`` pass (``merge_indexes(...,
-        # validate_disjoint=True)``) for sources from untrusted id
-        # namespaces; trusted per-tenant / per-date namespaces can skip it.
-        seen = np.empty(0, dtype=np.int64)
-        for rec in per_src:
-            docs_s = rec[2]
-            u = np.unique(docs_s)
-            inter = np.intersect1d(seen, u, assume_unique=True)
-            if len(inter):
-                raise ValueError(
-                    f"part {part}: {len(inter)} doc ids present in more than "
-                    f"one source index (e.g. {int(inter[0])}) — merge "
-                    "requires disjoint doc-id sets"
-                )
-            seen = np.union1d(seen, u)
-        positions = None
-        if codes_parts:
-            codes = np.concatenate(codes_parts)
-            docs = np.concatenate(docs_parts)
-            tfs_pre = np.concatenate(tfs_parts)
-            dls_pre = np.concatenate(dls_parts)
-            order = np.lexsort((docs, codes))
-            codes, docs = codes[order], docs[order]
-            tfs, dls = tfs_pre[order], dls_pre[order]
-            dup = (np.diff(codes) == 0) & (np.diff(docs) == 0)
-            if dup.any():
-                raise ValueError(
-                    f"part {part}: {int(dup.sum())} overlapping (term, doc) pairs — "
-                    "merge requires disjoint doc-id sets across source indexes"
-                )
-            if with_pos:
-                # permute each pair's position run with its pair: gather the
-                # flat position values through the lexsort order, vectorized
-                flat = (
-                    np.concatenate(pos_parts)
-                    if pos_parts
-                    else np.empty(0, dtype=np.int64)
-                )
-                pre_starts = np.concatenate(([0], np.cumsum(tfs_pre)[:-1]))
-                new_tfs = tfs
-                out_starts = np.concatenate(([0], np.cumsum(new_tfs)[:-1]))
-                total = int(new_tfs.sum())
-                take = np.repeat(pre_starts[order], new_tfs) + (
-                    np.arange(total, dtype=np.int64) - np.repeat(out_starts, new_tfs)
-                )
-                flat_new = flat[take]
-                offsets = np.concatenate(([0], np.cumsum(new_tfs))).astype(np.int32)
-                positions = pa.ListArray.from_arrays(
-                    pa.array(offsets), pa.array(flat_new.astype(np.int32))
-                )
-        else:
-            codes = np.empty(0, np.int64)
-            docs = tfs = dls = np.empty(0, np.int64)
-            if with_pos:
-                positions = pa.ListArray.from_arrays(
-                    pa.array(np.zeros(1, dtype=np.int32)),
-                    pa.array(np.empty(0, dtype=np.int32)),
-                )
-        built = build_segment_tables(
-            codes, union_terms, docs, tfs, dls, self.cfg,
-            positions=positions,
-        )
-        if with_pos:
-            terms_table, docs_b, tfs_b, dls_b, stats, pos_b = built
-        else:
-            terms_table, docs_b, tfs_b, dls_b, stats = built
-            pos_b = None
-        with mf.AtomicDir(seg_dir) as tmp:
-            checks = write_segment(
-                tmp, terms_table, docs_b, tfs_b, dls_b, pos_stream=pos_b
-            )
-            mf.write_manifest(
-                tmp,
-                {
-                    "kind": "segment",
-                    "part": part,
-                    "fingerprint": self.fingerprint,
-                    "n_input_files": len(self.sources),
-                    "checksums": checks,
-                    **stats,
-                },
-            )
-        return {"part": part, "n_terms": stats["n_terms"],
-                "n_postings": stats["n_postings"], "skipped": False}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part": [], "n_terms": [], "n_postings": [], "skipped": []}
-        for part in batch.column("part").to_pylist():
-            res = self.merge_part(int(part))
-            for k in out:
-                out[k].append(res[k])
-        return pa.table(
-            {
-                "part": pa.array(out["part"], type=pa.int64()),
-                "n_terms": pa.array(out["n_terms"], type=pa.int64()),
-                "n_postings": pa.array(out["n_postings"], type=pa.int64()),
-                "skipped": pa.array(out["skipped"]),
-            }
-        )
+def _copy_attributes(src_index: str, out_dir: str, prefix: str = "") -> None:
+    """Copy ``src_index``'s attribute sidecars into ``out_dir``, each named
+    ``prefix + name``."""
+    src_attr = os.path.join(src_index, "attributes")
+    if not os.path.isdir(src_attr):
+        return
+    dst_attr = os.path.join(out_dir, "attributes")
+    os.makedirs(dst_attr, exist_ok=True)
+    for name in sorted(os.listdir(src_attr)):
+        if name.endswith(".attrs.parquet"):
+            shutil.copyfile(os.path.join(src_attr, name), os.path.join(dst_attr, prefix + name))
 
 
 def merge_indexes(
@@ -315,121 +182,75 @@ def merge_indexes(
     if len(fps) != 1:
         raise ValueError(f"source configs differ (fingerprints {sorted(fps)})")
     cfg = cfgs[0]
-    # positional (store_positions) sources merge too: read_segment_pairs
-    # decodes the pos stream pair-aligned and _MergePart re-encodes it with
-    # the merged pair order (positions permute with their pairs)
-    N = sum(int(m["N"]) for m in metas)
-    total_tokens = sum(int(m["total_tokens"]) for m in metas)
-    avgdl = total_tokens / N if N else 0.0
     fp = _merge_fingerprint(metas)
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {"fingerprint": fp, "phases": {}}
-
-    meta_path = os.path.join(out_dir, "index_meta.json")
-    if os.path.exists(meta_path):
-        meta = load_meta(out_dir)
-        if meta.get("fingerprint") == fp and meta.get("complete"):
-            report["skipped"] = True
-            report.update(meta)
-            return report
+    done = finished_index(out_dir, fp)
+    if done is not None:
+        return {**report, "skipped": True, **done}
 
     # ---- segments: one task per partition ----
-    t0 = time.perf_counter()
+    def merge_part(item: dict) -> list[dict]:
+        part = item["part"]
+        row = finished_part(out_dir, part, fp)
+        if row is not None:
+            return [row]
+        # positional (store_positions) sources merge too: the pos stream is
+        # decoded pair-aligned and positions move with their pairs
+        recs = [
+            read_segment_pairs(part_dir(s, part), with_positions=cfg.store_positions)
+            for s in sources
+        ]
+        # doc-id disjointness across sources — BEST-EFFORT, per partition: a
+        # doc present in two sources would double-count N/total_tokens and
+        # carry inconsistent dl values, and is caught here by any part that
+        # sees it from BOTH sources. Partitioning spreads a doc's postings
+        # over many parts, so in practice a shared doc with any token
+        # overlap is caught; the check CANNOT see a doc whose two token
+        # sets are disjoint AND hash to disjoint partition sets (or that is
+        # token-empty in one source). Exact verification needs a global
+        # doc-id-set comparison — available as the opt-in
+        # ``validate_doc_disjointness`` pass (``merge_indexes(...,
+        # validate_disjoint=True)``) for sources from untrusted id
+        # namespaces; trusted per-tenant / per-date namespaces can skip it.
+        seen = np.empty(0, dtype=np.int64)
+        for rec in recs:
+            u = np.unique(rec[2])
+            inter = np.intersect1d(seen, u, assume_unique=True)
+            if len(inter):
+                raise ValueError(
+                    f"part {part}: {len(inter)} doc ids present in more than "
+                    f"one source index (e.g. {int(inter[0])}) — merge "
+                    "requires disjoint doc-id sets"
+                )
+            seen = np.union1d(seen, u)
+        pairs = combine_pairs(recs)
+        codes, docs = pairs[0], pairs[2]
+        dup = (np.diff(codes) == 0) & (np.diff(docs) == 0)
+        if dup.any():
+            raise ValueError(
+                f"part {part}: {int(dup.sum())} overlapping (term, doc) pairs — "
+                "merge requires disjoint doc-id sets across source indexes"
+            )
+        return [write_part(out_dir, part, fp, cfg, pairs, n_input_files=len(sources))]
+
     mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
-    stage = _MergePart(sources, out_dir, fp, cfg)
-
-    def merge_batch(batch: pa.Table) -> pa.Table:
-        return stage(batch)
-
-    results = (
-        ray.data.from_items([{"part": p} for p in range(cfg.num_partitions)])
-        .map_batches(merge_batch, batch_size=1, batch_format="pyarrow")
-        .take_all()
+    _, report["phases"]["segments"] = run_part_tasks(
+        [{"part": p} for p in range(cfg.num_partitions)], merge_part
     )
-    report["phases"]["segments"] = {
-        "sec": time.perf_counter() - t0,
-        "built": sum(1 for r in results if not r["skipped"]),
-        "skipped": sum(1 for r in results if r["skipped"]),
-    }
 
-    # ---- dictionary + stats (vocabulary-sized, driver) ----
-    t0 = time.perf_counter()
-    dict_dir = os.path.join(out_dir, "dictionary")
-    terms_files = [
-        os.path.join(out_dir, "segments", f"part={p:05d}", "terms.parquet")
-        for p in range(cfg.num_partitions)
-    ]
-    t = pa.concat_tables(
-        pq.read_table(f, columns=["term", "df", "cf"]) for f in terms_files
+    # ---- dictionary (vocabulary-sized) over the union of salted terms ----
+    hot_terms = set().union(*(m.get("hot_df", {}) for m in metas))
+    hot_df, report["phases"]["dictionary"] = write_dictionary(
+        out_dir, fp, cfg.num_partitions, hot_terms
     )
-    g = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-    g = agg_rename(
-        g, ["term"], [("df", "sum"), ("cf", "sum")], ["df", "cf"]
-    ).sort_by("term")
-    with mf.AtomicDir(dict_dir) as tmp:
-        pq.write_table(g, os.path.join(tmp, "dictionary.parquet"))
-        mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fp})
-    hot_terms = set()
-    for m in metas:
-        hot_terms.update(m.get("hot_df", {}))
-    hot_df: dict[str, int] = {}
-    if hot_terms:
-        import pyarrow.compute as pc
-
-        sel = g.filter(pc.is_in(g.column("term"), value_set=pa.array(sorted(hot_terms))))
-        hot_df = {
-            t_: int(d)
-            for t_, d in zip(sel.column("term").to_pylist(), sel.column("df").to_pylist())
-        }
-    stats_path = os.path.join(out_dir, "stats.json")
-    with open(stats_path + ".tmp", "w") as f:
-        json.dump(
-            {"fingerprint": fp, "N": N, "total_tokens": total_tokens,
-             "avgdl": avgdl, "hot_df": hot_df},
-            f, indent=1, sort_keys=True,
-        )
-    os.replace(stats_path + ".tmp", stats_path)
-    report["phases"]["dictionary"] = {
-        "sec": time.perf_counter() - t0, "multi_part_terms": len(hot_df),
-    }
 
     # ---- attribute sidecars: copy with a per-source prefix ----
     for i, s in enumerate(sources):
-        src_attr = os.path.join(s, "attributes")
-        if os.path.isdir(src_attr):
-            dst_attr = os.path.join(out_dir, "attributes")
-            os.makedirs(dst_attr, exist_ok=True)
-            for name in sorted(os.listdir(src_attr)):
-                if name.endswith(".attrs.parquet"):
-                    shutil.copyfile(
-                        os.path.join(src_attr, name),
-                        os.path.join(dst_attr, f"m{i}-{name}"),
-                    )
+        _copy_attributes(s, out_dir, prefix=f"m{i}-")
 
-    # ---- finalize ----
-    part_stats = {}
-    max_doc_id = -1
-    for p in range(cfg.num_partitions):
-        m = mf.read_manifest(os.path.join(out_dir, "segments", f"part={p:05d}"))
-        part_stats[p] = {k: m[k] for k in ("n_terms", "n_postings", "sum_tf")}
-        max_doc_id = max(max_doc_id, m.get("max_doc_id", -1))
-    meta = {
-        "max_doc_id": max_doc_id,
-        "fingerprint": fp,
-        "merged_from": [m["fingerprint"] for m in metas],
-        "config": asdict(cfg),
-        "N": N,
-        "total_tokens": total_tokens,
-        "avgdl": avgdl,
-        "hot_df": hot_df,
-        "num_partitions": cfg.num_partitions,
-        "part_stats": part_stats,
-        "complete": True,
-    }
     # deletions survive merges: union the sources' tombstone files (doc sets
     # are disjoint, so a plain concat-unique is exact)
-    import numpy as np
-
     tombs = [
         pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy()
         for p in (os.path.join(s, "deleted.parquet") for s in sources)
@@ -441,112 +262,14 @@ def merge_indexes(
         pq.write_table(pa.table({"doc_id": pa.array(ids, type=pa.int64())}), dp + ".tmp")
         os.replace(dp + ".tmp", dp)
         report["n_deleted"] = int(len(ids))
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-    os.replace(meta_path + ".tmp", meta_path)
-    report.update(meta)
+    report.update(finalize_index(
+        out_dir, fp, cfg,
+        sum(int(m["N"]) for m in metas),
+        sum(int(m["total_tokens"]) for m in metas),
+        hot_df,
+        merged_from=[m["fingerprint"] for m in metas],
+    ))
     return report
-
-
-class _CompactPart:
-    """map_batches stage: one row = one partition to compact (drop
-    tombstoned docs' pairs and re-encode)."""
-
-    def __init__(self, index_dir: str, out_dir: str, fingerprint: str,
-                 cfg: IndexConfig, deleted_ref):
-        self.index_dir = index_dir
-        self.out_dir = out_dir
-        self.fingerprint = fingerprint
-        self.cfg = cfg
-        self.deleted_ref = deleted_ref  # ray.put'd sorted int64 array
-
-    def compact_part(self, part: int) -> dict:
-        import ray as _ray
-
-        seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
-        if mf.is_complete(seg_dir, self.fingerprint):
-            m = mf.read_manifest(seg_dir)
-            return {"part": part, "n_terms": m["n_terms"],
-                    "n_postings": m["n_postings"], "skipped": True}
-        with_pos = self.cfg.store_positions
-        rec = read_segment_pairs(
-            os.path.join(self.index_dir, "segments", f"part={part:05d}"),
-            with_positions=with_pos,
-        )
-        terms, df, docs, tfs, dls = rec[:5]
-        deleted = _ray.get(self.deleted_ref)
-        codes_all = np.repeat(np.arange(len(df), dtype=np.int64), df)
-        keep = ~np.isin(docs, deleted, assume_unique=False)
-        positions = None
-        if keep.all():
-            codes_new, terms_kept = codes_all, list(terms)
-            docs_k, tfs_k, dls_k = docs, tfs, dls
-            if with_pos:
-                flat_new, new_tfs = rec[5], tfs
-        else:
-            codes_k = codes_all[keep]
-            docs_k, tfs_k, dls_k = docs[keep], tfs[keep], dls[keep]
-            # drop now-empty terms so the dictionary equals a fresh build's
-            kept_codes, codes_new = np.unique(codes_k, return_inverse=True)
-            terms_kept = [terms[c] for c in kept_codes]
-            if with_pos:
-                flat = rec[5]
-                pre_starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-                new_tfs = tfs_k
-                out_starts = np.concatenate(([0], np.cumsum(new_tfs)[:-1]))
-                total = int(new_tfs.sum())
-                take = np.repeat(pre_starts[keep], new_tfs) + (
-                    np.arange(total, dtype=np.int64) - np.repeat(out_starts, new_tfs)
-                )
-                flat_new = flat[take]
-        if with_pos:
-            if len(tfs_k):
-                offsets = np.concatenate(([0], np.cumsum(new_tfs))).astype(np.int32)
-                positions = pa.ListArray.from_arrays(
-                    pa.array(offsets), pa.array(flat_new.astype(np.int32))
-                )
-            else:
-                positions = pa.ListArray.from_arrays(
-                    pa.array(np.zeros(1, dtype=np.int32)),
-                    pa.array(np.empty(0, dtype=np.int32)),
-                )
-        built = build_segment_tables(
-            codes_new if len(tfs_k) else np.empty(0, np.int64),
-            terms_kept if len(tfs_k) else [],
-            docs_k, tfs_k, dls_k, self.cfg,
-            positions=positions,
-        )
-        if with_pos:
-            terms_table, docs_b, tfs_b, dls_b, stats, pos_b = built
-        else:
-            terms_table, docs_b, tfs_b, dls_b, stats = built
-            pos_b = None
-        with mf.AtomicDir(seg_dir) as tmp:
-            checks = write_segment(
-                tmp, terms_table, docs_b, tfs_b, dls_b, pos_stream=pos_b
-            )
-            mf.write_manifest(
-                tmp,
-                {"kind": "segment", "part": part,
-                 "fingerprint": self.fingerprint, "checksums": checks, **stats},
-            )
-        return {"part": part, "n_terms": stats["n_terms"],
-                "n_postings": stats["n_postings"], "skipped": False}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part": [], "n_terms": [], "n_postings": [], "skipped": []}
-        for part in batch.column("part").to_pylist():
-            res = self.compact_part(int(part))
-            for k in out:
-                out[k].append(res[k])
-        return pa.table(
-            {
-                "part": pa.array(out["part"], type=pa.int64()),
-                "n_terms": pa.array(out["n_terms"], type=pa.int64()),
-                "n_postings": pa.array(out["n_postings"], type=pa.int64()),
-                "skipped": pa.array(out["skipped"]),
-            }
-        )
 
 
 def compact_index(index_dir: str, out_dir: str) -> dict:
@@ -590,14 +313,9 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     fp = "compact-" + h.hexdigest()[:16]
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {"fingerprint": fp, "phases": {}}
-
-    meta_path = os.path.join(out_dir, "index_meta.json")
-    if os.path.exists(meta_path):
-        m = load_meta(out_dir)
-        if m.get("fingerprint") == fp and m.get("complete"):
-            report["skipped"] = True
-            report.update(m)
-            return report
+    done = finished_index(out_dir, fp)
+    if done is not None:
+        return {**report, "skipped": True, **done}
 
     # ---- stats pre-pass ----
     t0 = time.perf_counter()
@@ -607,9 +325,7 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
         dset = _ray.get(deleted_ref)
         out_d, out_l = [], []
         for part in batch.column("part").to_pylist():
-            _, _, docs, _, dls = read_segment_pairs(
-                os.path.join(index_dir, "segments", f"part={int(part):05d}")
-            )[:5]
+            _, _, docs, _, dls = read_segment_pairs(part_dir(index_dir, int(part)))
             hit = np.isin(docs, dset)
             if hit.any():
                 pairs = np.unique(
@@ -626,18 +342,16 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
             }
         )
 
-    parts_ds = ray.data.from_items([{"part": p} for p in range(cfg.num_partitions)])
+    parts = [{"part": p} for p in range(cfg.num_partitions)]
     found = (
-        parts_ds.map_batches(find_deleted, batch_size=1, batch_format="pyarrow")
+        ray.data.from_items(parts)
+        .map_batches(find_deleted, batch_size=1, batch_format="pyarrow")
         .take_all()
         if len(deleted)
         else []
     )
     uniq = {r["doc_id"]: r["dl"] for r in found}
     n_found, dl_removed = len(uniq), int(sum(uniq.values()))
-    N = int(meta["N"]) - n_found
-    total_tokens = int(meta["total_tokens"]) - dl_removed
-    avgdl = total_tokens / N if N else 0.0
     report["phases"]["stats"] = {
         "sec": time.perf_counter() - t0,
         "n_tombstones": int(len(deleted)),
@@ -646,95 +360,33 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     }
 
     # ---- compact pass: one task per partition ----
-    t0 = time.perf_counter()
-    mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
-    stage = _CompactPart(index_dir, out_dir, fp, cfg, deleted_ref)
-    results = (
-        parts_ds.map_batches(lambda b: stage(b), batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    report["phases"]["segments"] = {
-        "sec": time.perf_counter() - t0,
-        "built": sum(1 for r in results if not r["skipped"]),
-        "skipped": sum(1 for r in results if r["skipped"]),
-    }
-
-    # ---- dictionary + stats + meta (vocabulary-sized, driver) ----
-    t0 = time.perf_counter()
-    dict_dir = os.path.join(out_dir, "dictionary")
-    terms_files = [
-        os.path.join(out_dir, "segments", f"part={p:05d}", "terms.parquet")
-        for p in range(cfg.num_partitions)
-    ]
-    t = pa.concat_tables(
-        pq.read_table(f, columns=["term", "df", "cf"]) for f in terms_files
-    )
-    g = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-    g = agg_rename(
-        g, ["term"], [("df", "sum"), ("cf", "sum")], ["df", "cf"]
-    ).sort_by("term")
-    with mf.AtomicDir(dict_dir) as tmp:
-        pq.write_table(g, os.path.join(tmp, "dictionary.parquet"))
-        mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fp})
-    hot_terms = set(meta.get("hot_df", {}))
-    hot_df: dict[str, int] = {}
-    if hot_terms:
-        import pyarrow.compute as pc
-
-        sel = g.filter(
-            pc.is_in(g.column("term"), value_set=pa.array(sorted(hot_terms)))
-        )
-        hot_df = {
-            t_: int(d)
-            for t_, d in zip(
-                sel.column("term").to_pylist(), sel.column("df").to_pylist()
+    def compact_part(item: dict) -> list[dict]:
+        part = item["part"]
+        row = finished_part(out_dir, part, fp)
+        if row is None:
+            rec = read_segment_pairs(
+                part_dir(index_dir, part), with_positions=cfg.store_positions
             )
-        }
-    stats_path = os.path.join(out_dir, "stats.json")
-    with open(stats_path + ".tmp", "w") as f:
-        json.dump(
-            {"fingerprint": fp, "N": N, "total_tokens": total_tokens,
-             "avgdl": avgdl, "hot_df": hot_df},
-            f, indent=1, sort_keys=True,
-        )
-    os.replace(stats_path + ".tmp", stats_path)
-    report["phases"]["dictionary"] = {"sec": time.perf_counter() - t0}
+            keep = ~np.isin(rec[2], _ray.get(deleted_ref))
+            row = write_part(out_dir, part, fp, cfg, combine_pairs([rec], keep))
+        return [row]
 
+    mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
+    _, report["phases"]["segments"] = run_part_tasks(parts, compact_part)
+
+    hot_df, report["phases"]["dictionary"] = write_dictionary(
+        out_dir, fp, cfg.num_partitions, meta.get("hot_df", {})
+    )
     # attribute sidecars copy unchanged: rows for compacted-away docs are
     # inert (attribute filters only ever intersect with postings)
-    src_attr = os.path.join(index_dir, "attributes")
-    if os.path.isdir(src_attr):
-        dst_attr = os.path.join(out_dir, "attributes")
-        os.makedirs(dst_attr, exist_ok=True)
-        for name in sorted(os.listdir(src_attr)):
-            if name.endswith(".attrs.parquet"):
-                shutil.copyfile(
-                    os.path.join(src_attr, name), os.path.join(dst_attr, name)
-                )
-
-    part_stats = {}
-    max_doc_id = -1
-    for p in range(cfg.num_partitions):
-        m = mf.read_manifest(os.path.join(out_dir, "segments", f"part={p:05d}"))
-        part_stats[p] = {k: m[k] for k in ("n_terms", "n_postings", "sum_tf")}
-        max_doc_id = max(max_doc_id, m.get("max_doc_id", -1))
-    out_meta = {
-        "max_doc_id": max_doc_id,
-        "fingerprint": fp,
-        "compacted_from": meta["fingerprint"],
-        "config": asdict(cfg),
-        "N": N,
-        "total_tokens": total_tokens,
-        "avgdl": avgdl,
-        "hot_df": hot_df,
-        "num_partitions": cfg.num_partitions,
-        "part_stats": part_stats,
-        "complete": True,
-    }
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(out_meta, f, indent=1, sort_keys=True)
-    os.replace(meta_path + ".tmp", meta_path)
-    report.update(out_meta)
+    _copy_attributes(index_dir, out_dir)
+    report.update(finalize_index(
+        out_dir, fp, cfg,
+        int(meta["N"]) - n_found,
+        int(meta["total_tokens"]) - dl_removed,
+        hot_df,
+        compacted_from=meta["fingerprint"],
+    ))
     report["n_compacted_out"] = n_found
     return report
 
@@ -845,227 +497,62 @@ def upsert_docs(
     return report
 
 
-class _ReshardPart:
-    """map_batches stage for :func:`reshard_index`.
+def _split_target(term: str, parent: int, old_P: int, cfg: IndexConfig, salted) -> int:
+    """The child of ``parent`` that receives ``term``'s pairs in a split
+    to ``cfg.num_partitions``."""
+    from distributed_text_search_ray.functions.hashing import stable_u64, term_partition
 
-    ``mode="split"``: one row = one OLD partition; decodes it once and
-    writes its ``factor`` child segments (term-level routing, no shuffle —
-    with new_P = old_P * factor, ``h % new_P`` of every term routed to old
-    part p is congruent to p mod old_P, so a parent's terms land only in
-    its own children; same for every salt probe ``h(term#s)``).
+    new_P = cfg.num_partitions
+    base = term_partition(term, new_P)
+    if term not in salted:
+        return base
+    cand = {base} | {stable_u64(f"{term}#{s}") % new_P for s in range(cfg.salt_buckets)}
+    # at least one candidate is a child of the parent: whichever probe
+    # routed these pairs to `parent` under old_P maps to one under new_P
+    return min(c for c in cand if c % old_P == parent)
 
-    ``mode="shrink"``: one row = one NEW partition; decodes its ``factor``
-    parent segments (old parts q with q % new_P == part) and re-encodes
-    their concatenated pair streams. A salted term may appear in several
-    parents (doc-disjoint by construction); docs legitimately repeat across
+
+def _split_part(index_dir: str, out_dir: str, fp: str, cfg: IndexConfig,
+                old_P: int, salted, item: dict) -> list[dict]:
+    """Split: decode OLD partition ``item["part"]`` once and write its children
+    (term-level routing, no shuffle — with new_P = old_P * k, ``h % new_P``
+    of every term routed to old part p is congruent to p mod old_P, so a
+    parent's terms land only in its own children; same for every salt
+    probe ``h(term#s)``). Only unfinished children are written."""
+    parent = item["part"]
+    children = range(parent, cfg.num_partitions, old_P)
+    rows = [finished_part(out_dir, c, fp) for c in children]
+    if all(r is not None for r in rows):
+        return rows
+    rec = read_segment_pairs(part_dir(index_dir, parent), with_positions=cfg.store_positions)
+    targets = np.fromiter(
+        (_split_target(t, parent, old_P, cfg, salted) for t in rec[0]),
+        dtype=np.int64, count=len(rec[0]),
+    )
+    pair_target = np.repeat(targets, rec[1])
+    return [
+        row if row is not None
+        else write_part(out_dir, c, fp, cfg, combine_pairs([rec], pair_target == c))
+        for row, c in zip(rows, children)
+    ]
+
+
+def _shrink_part(index_dir: str, out_dir: str, fp: str, cfg: IndexConfig,
+                 old_P: int, item: dict) -> list[dict]:
+    """Shrink: combine NEW partition ``item["part"]``'s parents (old parts q
+    with q % new_P == part). A salted term may appear in several parents
+    (doc-disjoint by construction); docs legitimately repeat across
     different terms, so no doc-disjointness check applies here (unlike the
-    cross-index merge).
-    """
-
-    def __init__(self, index_dir: str, out_dir: str, fingerprint: str,
-                 cfg: IndexConfig, old_P: int, new_P: int,
-                 salted: list[str], mode: str):
-        self.index_dir = index_dir
-        self.out_dir = out_dir
-        self.fingerprint = fingerprint
-        self.cfg = cfg  # already carries num_partitions = new_P
-        self.old_P = old_P
-        self.new_P = new_P
-        self.salted = set(salted)
-        self.mode = mode
-
-    # ---- routing -----------------------------------------------------
-    def _split_target(self, term: str, parent: int) -> int:
-        from distributed_text_search_ray.functions.hashing import (
-            stable_u64,
-            term_partition,
-        )
-
-        base = term_partition(term, self.new_P)
-        if term not in self.salted:
-            return base
-        cand = {base} | {
-            stable_u64(f"{term}#{s}") % self.new_P
-            for s in range(self.cfg.salt_buckets)
-        }
-        mine = sorted(c for c in cand if c % self.old_P == parent)
-        # at least one candidate is a child of the parent: whichever probe
-        # routed these pairs to `parent` under old_P maps to one under new_P
-        return mine[0]
-
-    def _encode(self, part: int, union_terms, codes, docs, tfs, dls, positions):
-        seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
-        built = build_segment_tables(
-            codes, union_terms, docs, tfs, dls, self.cfg,
-            positions=positions,
-        )
-        if self.cfg.store_positions:
-            terms_table, docs_b, tfs_b, dls_b, stats, pos_b = built
-        else:
-            terms_table, docs_b, tfs_b, dls_b, stats = built
-            pos_b = None
-        with mf.AtomicDir(seg_dir) as tmp:
-            checks = write_segment(
-                tmp, terms_table, docs_b, tfs_b, dls_b, pos_stream=pos_b
-            )
-            mf.write_manifest(
-                tmp,
-                {"kind": "segment", "part": part,
-                 "fingerprint": self.fingerprint, "checksums": checks, **stats},
-            )
-        return stats
-
-    @staticmethod
-    def _empty_positions(with_pos: bool):
-        if not with_pos:
-            return None
-        return pa.ListArray.from_arrays(
-            pa.array(np.zeros(1, dtype=np.int32)),
-            pa.array(np.empty(0, dtype=np.int32)),
-        )
-
-    # ---- split: parent -> factor children ------------------------------
-    def _split_one(self, parent: int) -> list[dict]:
-        factor = self.new_P // self.old_P
-        children = [parent + i * self.old_P for i in range(factor)]
-        done = [
-            c for c in children
-            if mf.is_complete(
-                os.path.join(self.out_dir, "segments", f"part={c:05d}"),
-                self.fingerprint,
-            )
+    cross-index merge)."""
+    part = item["part"]
+    row = finished_part(out_dir, part, fp)
+    if row is None:
+        recs = [
+            read_segment_pairs(part_dir(index_dir, q), with_positions=cfg.store_positions)
+            for q in range(part, old_P, cfg.num_partitions)
         ]
-        if len(done) == len(children):
-            out = []
-            for c in children:
-                m = mf.read_manifest(
-                    os.path.join(self.out_dir, "segments", f"part={c:05d}")
-                )
-                out.append({"part": c, "n_terms": m["n_terms"],
-                            "n_postings": m["n_postings"], "skipped": True})
-            return out
-        with_pos = self.cfg.store_positions
-        rec = read_segment_pairs(
-            os.path.join(self.index_dir, "segments", f"part={parent:05d}"),
-            with_positions=with_pos,
-        )
-        terms, df = rec[0], rec[1]
-        docs, tfs, dls = rec[2], rec[3], rec[4]
-        flat_pos = rec[5] if with_pos else None
-        targets = np.fromiter(
-            (self._split_target(t, parent) for t in terms),
-            dtype=np.int64, count=len(terms),
-        )
-        pair_target = np.repeat(targets, df)
-        out = []
-        for child in children:
-            tmask = targets == child
-            child_terms = [t for t, m in zip(terms, tmask) if m]
-            pmask = pair_target == child
-            c_docs, c_tfs, c_dls = docs[pmask], tfs[pmask], dls[pmask]
-            # terms stay sorted; pairs stay doc-sorted within each term
-            codes = np.repeat(
-                np.arange(len(child_terms), dtype=np.int64), df[tmask]
-            )
-            positions = self._empty_positions(with_pos)
-            if with_pos and len(c_tfs):
-                pos_mask = np.repeat(pmask, tfs)
-                cpos = flat_pos[pos_mask].astype(np.int32)
-                offsets = np.concatenate(([0], np.cumsum(c_tfs))).astype(np.int32)
-                positions = pa.ListArray.from_arrays(
-                    pa.array(offsets), pa.array(cpos)
-                )
-            stats = self._encode(child, child_terms, codes, c_docs, c_tfs, c_dls, positions)
-            out.append({"part": child, "n_terms": stats["n_terms"],
-                        "n_postings": stats["n_postings"], "skipped": False})
-        return out
-
-    # ---- shrink: factor parents -> one child ----------------------------
-    def _shrink_one(self, part: int) -> list[dict]:
-        seg_dir = os.path.join(self.out_dir, "segments", f"part={part:05d}")
-        if mf.is_complete(seg_dir, self.fingerprint):
-            m = mf.read_manifest(seg_dir)
-            return [{"part": part, "n_terms": m["n_terms"],
-                     "n_postings": m["n_postings"], "skipped": True}]
-        with_pos = self.cfg.store_positions
-        factor = self.old_P // self.new_P
-        parents = [part + i * self.new_P for i in range(factor)]
-        per_src = [
-            read_segment_pairs(
-                os.path.join(self.index_dir, "segments", f"part={q:05d}"),
-                with_positions=with_pos,
-            )
-            for q in parents
-        ]
-        union: set[str] = set()
-        for rec in per_src:
-            union.update(rec[0])
-        union_terms = sorted(union)
-        code_of = {t: i for i, t in enumerate(union_terms)}
-        codes_parts, docs_parts, tfs_parts, dls_parts, pos_parts = [], [], [], [], []
-        for rec in per_src:
-            terms, df = rec[0], rec[1]
-            if not len(rec[2]):
-                continue
-            codes_parts.append(
-                np.repeat(
-                    np.fromiter((code_of[t] for t in terms), dtype=np.int64,
-                                count=len(terms)),
-                    df,
-                )
-            )
-            docs_parts.append(rec[2])
-            tfs_parts.append(rec[3])
-            dls_parts.append(rec[4])
-            if with_pos:
-                pos_parts.append(rec[5])
-        positions = self._empty_positions(with_pos)
-        if codes_parts:
-            codes = np.concatenate(codes_parts)
-            docs = np.concatenate(docs_parts)
-            tfs_pre = np.concatenate(tfs_parts)
-            dls_pre = np.concatenate(dls_parts)
-            order = np.lexsort((docs, codes))
-            codes, docs = codes[order], docs[order]
-            tfs, dls = tfs_pre[order], dls_pre[order]
-            if with_pos:
-                flat = np.concatenate(pos_parts)
-                pre_starts = np.concatenate(([0], np.cumsum(tfs_pre)[:-1]))
-                out_starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-                total = int(tfs.sum())
-                take = np.repeat(pre_starts[order], tfs) + (
-                    np.arange(total, dtype=np.int64) - np.repeat(out_starts, tfs)
-                )
-                offsets = np.concatenate(([0], np.cumsum(tfs))).astype(np.int32)
-                positions = pa.ListArray.from_arrays(
-                    pa.array(offsets), pa.array(flat[take].astype(np.int32))
-                )
-        else:
-            codes = np.empty(0, np.int64)
-            docs = tfs = dls = np.empty(0, np.int64)
-        stats = self._encode(part, union_terms, codes, docs, tfs, dls, positions)
-        return [{"part": part, "n_terms": stats["n_terms"],
-                 "n_postings": stats["n_postings"], "skipped": False}]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part": [], "n_terms": [], "n_postings": [], "skipped": []}
-        for part in batch.column("part").to_pylist():
-            rows = (
-                self._split_one(int(part))
-                if self.mode == "split"
-                else self._shrink_one(int(part))
-            )
-            for r in rows:
-                for k in out:
-                    out[k].append(r[k])
-        return pa.table(
-            {
-                "part": pa.array(out["part"], type=pa.int64()),
-                "n_terms": pa.array(out["n_terms"], type=pa.int64()),
-                "n_postings": pa.array(out["n_postings"], type=pa.int64()),
-                "skipped": pa.array(out["skipped"]),
-            }
-        )
+        row = write_part(out_dir, part, fp, cfg, combine_pairs(recs))
+    return [row]
 
 
 def reshard_index(index_dir: str, out_dir: str, num_partitions: int) -> dict:
@@ -1085,8 +572,6 @@ def reshard_index(index_dir: str, out_dir: str, num_partitions: int) -> dict:
     resharded index is rank- AND score-identical to the source (pinned by
     tests/test_reshard.py). Resumable via per-segment lineage manifests.
     """
-    import pyarrow.parquet as pq
-
     meta = load_meta(index_dir)
     if not meta.get("complete"):
         raise ValueError(f"source index {index_dir} is not complete")
@@ -1111,197 +596,128 @@ def reshard_index(index_dir: str, out_dir: str, num_partitions: int) -> dict:
     fp = "reshard-" + h.hexdigest()[:16]
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {"fingerprint": fp, "phases": {}, "mode": mode}
-
-    meta_path = os.path.join(out_dir, "index_meta.json")
-    if os.path.exists(meta_path):
-        m = load_meta(out_dir)
-        if m.get("fingerprint") == fp and m.get("complete"):
-            report["skipped"] = True
-            report.update(m)
-            return report
+    done = finished_index(out_dir, fp)
+    if done is not None:
+        return {**report, "skipped": True, **done}
 
     from dataclasses import replace as _replace
 
     new_cfg = _replace(cfg, num_partitions=new_P)
-    N = int(meta["N"])
-    total_tokens = int(meta["total_tokens"])
-    avgdl = float(meta["avgdl"])
     hot_df = {k: int(v) for k, v in meta.get("hot_df", {}).items()}
 
     # ---- segment pass: one task per parent (split) / child (shrink) ----
-    t0 = time.perf_counter()
-    n_tasks = old_P if mode == "split" else new_P
-    parts_ds = ray.data.from_items([{"part": p} for p in range(n_tasks)])
-    stage = _ReshardPart(
-        index_dir, out_dir, fp, new_cfg, old_P, new_P, sorted(hot_df), mode,
+    if mode == "split":
+        reshard_part = partial(_split_part, index_dir, out_dir, fp, new_cfg, old_P, set(hot_df))
+    else:
+        reshard_part = partial(_shrink_part, index_dir, out_dir, fp, new_cfg, old_P)
+    mf.gc_tmp_dirs(os.path.join(out_dir, "segments"))
+    _, report["phases"]["segments"] = run_part_tasks(
+        [{"part": p} for p in range(min(old_P, new_P))], reshard_part
     )
-    results = (
-        parts_ds.map_batches(stage, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    report["phases"]["segments"] = {
-        "sec": time.perf_counter() - t0,
-        "built": sum(1 for r in results if not r["skipped"]),
-        "skipped": sum(1 for r in results if r["skipped"]),
-    }
 
-    # ---- dictionary (unchanged content) + stats + meta ----
+    # ---- dictionary (unchanged content) + sidecars + finalize ----
     t0 = time.perf_counter()
-    dict_dir = os.path.join(out_dir, "dictionary")
     src_dict = os.path.join(index_dir, "dictionary", "dictionary.parquet")
-    with mf.AtomicDir(dict_dir) as tmp:
+    with mf.AtomicDir(os.path.join(out_dir, "dictionary")) as tmp:
         shutil.copyfile(src_dict, os.path.join(tmp, "dictionary.parquet"))
         mf.write_manifest(tmp, {"kind": "dictionary", "fingerprint": fp})
-    stats_path = os.path.join(out_dir, "stats.json")
-    with open(stats_path + ".tmp", "w") as f:
-        json.dump(
-            {"fingerprint": fp, "N": N, "total_tokens": total_tokens,
-             "avgdl": avgdl, "hot_df": hot_df},
-            f, indent=1, sort_keys=True,
-        )
-    os.replace(stats_path + ".tmp", stats_path)
-
+    report["phases"]["dictionary"] = {"sec": time.perf_counter() - t0}
     # attribute sidecars and tombstones carry over unchanged (doc-keyed)
-    src_attr = os.path.join(index_dir, "attributes")
-    if os.path.isdir(src_attr):
-        dst_attr = os.path.join(out_dir, "attributes")
-        os.makedirs(dst_attr, exist_ok=True)
-        for name in sorted(os.listdir(src_attr)):
-            if name.endswith(".attrs.parquet"):
-                shutil.copyfile(
-                    os.path.join(src_attr, name), os.path.join(dst_attr, name)
-                )
+    _copy_attributes(index_dir, out_dir)
     src_tomb = os.path.join(index_dir, "deleted.parquet")
     if os.path.exists(src_tomb):
         shutil.copyfile(src_tomb, os.path.join(out_dir, "deleted.parquet"))
-
-    part_stats = {}
-    for p in range(new_P):
-        m = mf.read_manifest(os.path.join(out_dir, "segments", f"part={p:05d}"))
-        part_stats[p] = {k: m[k] for k in ("n_terms", "n_postings", "sum_tf")}
-    out_meta = {
-        "max_doc_id": int(meta.get("max_doc_id", -1)),
-        "fingerprint": fp,
-        "resharded_from": meta["fingerprint"],
-        "config": asdict(new_cfg),
-        "N": N,
-        "total_tokens": total_tokens,
-        "avgdl": avgdl,
-        "hot_df": hot_df,
-        "num_partitions": new_P,
-        "part_stats": part_stats,
-        "complete": True,
-    }
-    report["phases"]["dictionary"] = {"sec": time.perf_counter() - t0}
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump(out_meta, f, indent=1, sort_keys=True)
-    os.replace(meta_path + ".tmp", meta_path)
-    report.update(out_meta)
+    report.update(finalize_index(
+        out_dir, fp, new_cfg, int(meta["N"]), int(meta["total_tokens"]), hot_df,
+        resharded_from=meta["fingerprint"],
+    ))
     return report
 
 
-class _VerifyPart:
-    """map_batches stage for :func:`verify_index`: one row = one partition."""
+def _verify_part(index_dir: str, fingerprint: str, deep: bool,
+                 store_positions: bool, part: int) -> list[str]:
+    """:func:`verify_index`'s check of one partition."""
+    from distributed_text_search_ray.state.segment import (
+        POS_STREAM,
+        STREAMS,
+        TERMS_FILE,
+    )
 
-    def __init__(self, index_dir: str, fingerprint: str, deep: bool,
-                 store_positions: bool):
-        self.index_dir = index_dir
-        self.fingerprint = fingerprint
-        self.deep = deep
-        self.store_positions = store_positions
-
-    def _check(self, part: int) -> list[str]:
-        from distributed_text_search_ray.state.segment import (
-            POS_STREAM,
-            STREAMS,
-            TERMS_FILE,
+    errs: list[str] = []
+    seg = part_dir(index_dir, part)
+    m = mf.read_manifest(seg)
+    if m is None:
+        return [f"part {part}: missing or unreadable MANIFEST"]
+    if m.get("status") != "complete":
+        errs.append(f"part {part}: manifest status {m.get('status')!r}")
+    if m.get("fingerprint") != fingerprint:
+        errs.append(
+            f"part {part}: manifest fingerprint {m.get('fingerprint')!r} "
+            f"!= index {fingerprint!r}"
         )
-
-        errs: list[str] = []
-        seg = os.path.join(self.index_dir, "segments", f"part={part:05d}")
-        m = mf.read_manifest(seg)
-        if m is None:
-            return [f"part {part}: missing or unreadable MANIFEST"]
-        if m.get("status") != "complete":
-            errs.append(f"part {part}: manifest status {m.get('status')!r}")
-        if m.get("fingerprint") != self.fingerprint:
+    names = list(STREAMS) + ([POS_STREAM] if store_positions else [])
+    for name in names:
+        p = os.path.join(seg, name)
+        if not os.path.exists(p):
+            errs.append(f"part {part}: missing stream {name}")
+            continue
+        want = m.get("checksums", {}).get(name)
+        if want is None:
+            errs.append(f"part {part}: manifest records no checksum for {name}")
+            continue
+        with open(p, "rb") as f:
+            got = hashlib.md5(f.read()).hexdigest()
+        if got != want:
             errs.append(
-                f"part {part}: manifest fingerprint {m.get('fingerprint')!r} "
-                f"!= index {self.fingerprint!r}"
+                f"part {part}: {name} checksum {got} != manifest {want}"
             )
-        names = list(STREAMS) + ([POS_STREAM] if self.store_positions else [])
-        for name in names:
-            p = os.path.join(seg, name)
-            if not os.path.exists(p):
-                errs.append(f"part {part}: missing stream {name}")
-                continue
-            want = m.get("checksums", {}).get(name)
-            if want is None:
-                errs.append(f"part {part}: manifest records no checksum for {name}")
-                continue
-            with open(p, "rb") as f:
-                got = hashlib.md5(f.read()).hexdigest()
-            if got != want:
-                errs.append(
-                    f"part {part}: {name} checksum {got} != manifest {want}"
-                )
-        import pyarrow.parquet as pq
+    import pyarrow.parquet as pq
 
-        try:
-            t = pq.read_table(os.path.join(seg, TERMS_FILE), columns=["term", "df", "cf"])
-        except Exception as e:  # corrupt parquet is a finding, not a crash
-            return errs + [f"part {part}: unreadable {TERMS_FILE}: {e}"]
-        df = t.column("df").to_numpy()
-        if int(df.sum()) != int(m.get("n_postings", -1)):
-            errs.append(
-                f"part {part}: terms df sum {int(df.sum())} != manifest "
-                f"n_postings {m.get('n_postings')}"
-            )
-        if t.num_rows != int(m.get("n_terms", -1)):
-            errs.append(
-                f"part {part}: {t.num_rows} terms != manifest n_terms "
-                f"{m.get('n_terms')}"
-            )
-        terms_list = t.column("term").to_pylist()
-        if terms_list != sorted(terms_list):
-            errs.append(f"part {part}: term dictionary not sorted")
-        if self.deep and not errs:
-            # full decode: validates varbyte/delta stream integrity and the
-            # pair-level invariants the readers rely on
-            rec = read_segment_pairs(seg, with_positions=self.store_positions)
-            terms, rdf, docs, tfs, dls = rec[:5]
-            if not np.array_equal(rdf, df):
-                errs.append(f"part {part}: decoded df differs from {TERMS_FILE}")
-            if int(tfs.sum()) != int(m.get("sum_tf", -1)):
-                errs.append(
-                    f"part {part}: decoded sum_tf {int(tfs.sum())} != "
-                    f"manifest {m.get('sum_tf')}"
-                )
-            if len(docs) and int(docs.max()) > int(m.get("max_doc_id", -1)):
-                errs.append(f"part {part}: decoded doc id beyond manifest max")
-            if (tfs <= 0).any() or (dls <= 0).any():
-                errs.append(f"part {part}: non-positive tf or dl")
-            cf_tab = t.column("cf").to_numpy()
-            seg_ids = np.repeat(np.arange(len(rdf)), rdf)
-            cf_dec = np.bincount(seg_ids, weights=tfs, minlength=len(rdf)).astype(np.int64)
-            if not np.array_equal(cf_dec, cf_tab):
-                errs.append(f"part {part}: decoded cf differs from {TERMS_FILE}")
-            # per-term doc ids strictly increasing (posting-list contract)
-            d = np.diff(docs)
-            bad = (d <= 0) & (np.diff(seg_ids) == 0)
-            if bad.any():
-                errs.append(f"part {part}: non-increasing doc ids within a term")
-        return errs
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        parts = batch.column("part").to_pylist()
-        errors = ["\n".join(self._check(int(p))) for p in parts]
-        return pa.table(
-            {
-                "part": pa.array(parts, type=pa.int64()),
-                "errors": pa.array(errors, type=pa.string()),
-            }
+    try:
+        t = pq.read_table(os.path.join(seg, TERMS_FILE), columns=["term", "df", "cf"])
+    except Exception as e:  # corrupt parquet is a finding, not a crash
+        return errs + [f"part {part}: unreadable {TERMS_FILE}: {e}"]
+    df = t.column("df").to_numpy()
+    if int(df.sum()) != int(m.get("n_postings", -1)):
+        errs.append(
+            f"part {part}: terms df sum {int(df.sum())} != manifest "
+            f"n_postings {m.get('n_postings')}"
         )
+    if t.num_rows != int(m.get("n_terms", -1)):
+        errs.append(
+            f"part {part}: {t.num_rows} terms != manifest n_terms "
+            f"{m.get('n_terms')}"
+        )
+    terms_list = t.column("term").to_pylist()
+    if terms_list != sorted(terms_list):
+        errs.append(f"part {part}: term dictionary not sorted")
+    if deep and not errs:
+        # full decode: validates varbyte/delta stream integrity and the
+        # pair-level invariants the readers rely on
+        rec = read_segment_pairs(seg, with_positions=store_positions)
+        terms, rdf, docs, tfs, dls = rec[:5]
+        if not np.array_equal(rdf, df):
+            errs.append(f"part {part}: decoded df differs from {TERMS_FILE}")
+        if int(tfs.sum()) != int(m.get("sum_tf", -1)):
+            errs.append(
+                f"part {part}: decoded sum_tf {int(tfs.sum())} != "
+                f"manifest {m.get('sum_tf')}"
+            )
+        if len(docs) and int(docs.max()) > int(m.get("max_doc_id", -1)):
+            errs.append(f"part {part}: decoded doc id beyond manifest max")
+        if (tfs <= 0).any() or (dls <= 0).any():
+            errs.append(f"part {part}: non-positive tf or dl")
+        cf_tab = t.column("cf").to_numpy()
+        seg_ids = np.repeat(np.arange(len(rdf)), rdf)
+        cf_dec = np.bincount(seg_ids, weights=tfs, minlength=len(rdf)).astype(np.int64)
+        if not np.array_equal(cf_dec, cf_tab):
+            errs.append(f"part {part}: decoded cf differs from {TERMS_FILE}")
+        # per-term doc ids strictly increasing (posting-list contract)
+        d = np.diff(docs)
+        bad = (d <= 0) & (np.diff(seg_ids) == 0)
+        if bad.any():
+            errs.append(f"part {part}: non-increasing doc ids within a term")
+    return errs
 
 
 def verify_index(index_dir: str, deep: bool = False) -> dict:
@@ -1338,9 +754,13 @@ def verify_index(index_dir: str, deep: bool = False) -> dict:
     else:
         errors.append("missing stats.json")
 
-    parts_ds = ray.data.from_items([{"part": p} for p in range(P)])
-    stage = _VerifyPart(index_dir, meta["fingerprint"], deep, cfg.store_positions)
-    res = parts_ds.map_batches(stage, batch_size=1, batch_format="pyarrow").take_all()
+    def verify_part(item: dict) -> list[dict]:
+        errs = _verify_part(
+            index_dir, meta["fingerprint"], deep, cfg.store_positions, item["part"]
+        )
+        return [{"part": item["part"], "errors": "\n".join(errs)}]
+
+    res, _ = run_part_tasks([{"part": p} for p in range(P)], verify_part)
     for r in res:
         if r["errors"]:
             errors.extend(r["errors"].split("\n"))

@@ -104,8 +104,9 @@ def search_topk_federated(
     metadata, so results are bit-identical to a single index over the union
     corpus (members' doc-id sets must be disjoint, the merge contract).
     ``mode``: "maxscore" (default) or "taat", as in :func:`search_topk`
-    (the same accumulation); WAND needs one index's block metadata, so it
-    is for merged indexes only."""
+    (the same accumulation). ``mode="wand"``, which is only an alias of
+    "taat" on a single index, is rejected with ``ValueError`` by the
+    federated executor."""
     from distributed_text_search_ray.stages.executor import FederatedQueryExecutor
 
     return index_stage(
@@ -1720,15 +1721,16 @@ def search_topk_after(
     ordering, which is what the SQL twin checks.
     """
     if not isinstance(cursors, ray.data.Dataset):
-        cursors = [
+        cursors = list(cursors)
+        # typed even when empty, so an empty cursor list gets typed output
+        cursors = pa.table(
             {
-                "query_id": int(q),
-                "query": str(t),
-                "after_score": float(s),
-                "after_doc_id": int(d),
+                "query_id": pa.array([int(c[0]) for c in cursors], pa.int64()),
+                "query": pa.array([str(c[1]) for c in cursors], pa.string()),
+                "after_score": pa.array([float(c[2]) for c in cursors], pa.float64()),
+                "after_doc_id": pa.array([int(c[3]) for c in cursors], pa.int64()),
             }
-            for q, t, s, d in cursors
-        ]
+        )
     return index_stage(cursors, SearchAfterExecutor, index_dir, topk=topk, mode=mode)
 
 

@@ -67,7 +67,7 @@ def build_segment_tables(
     positions: "pa.ListArray | pa.ChunkedArray | None" = None,
 ) -> tuple:
     """Encode one partition's pairs (already sorted by (term, doc_id)) into
-    (terms table, docs stream, tfs stream, dls stream, stats).
+    (terms table, docs stream, tfs stream, dls stream, stats, pos stream).
 
     ``term_codes``: int codes per pair row, non-decreasing (dictionary codes
     of the sorted term column); ``term_strings``: the dictionary — strings
@@ -75,10 +75,11 @@ def build_segment_tables(
     avoids materializing millions of Python strings per partition.
 
     ``positions`` (v4, opt-in): a pair-aligned ``list<int32>`` of each
-    pair's ascending token positions. When given, the return gains a sixth
-    element (the pos stream bytes: per-pair delta + varbyte, restart at
-    every pair so a term's positions decode with its tfs as the restart
-    table) and the terms table gains ``pos_off``/``pos_nbytes``.
+    pair's ascending token positions. The sixth element of the return is
+    the pos stream bytes (per-pair delta + varbyte, restart at every pair
+    so a term's positions decode with its tfs as the restart table), or
+    ``None`` without positions; with them the terms table gains
+    ``pos_off``/``pos_nbytes``.
     """
     n = len(term_codes)
     if n == 0:
@@ -101,9 +102,7 @@ def build_segment_tables(
                 "pos_off", pa.array([], type=pa.int64())
             ).append_column("pos_nbytes", pa.array([], type=pa.int64()))
         empty = empty.replace_schema_metadata({b"block_size": str(cfg.block_size).encode()})
-        if positions is not None:
-            return empty, b"", b"", b"", stats0, b""
-        return empty, b"", b"", b"", stats0
+        return empty, b"", b"", b"", stats0, (b"" if positions is not None else None)
 
     # term boundaries (input sorted by term, doc_id)
     codes = np.asarray(term_codes)
@@ -188,12 +187,10 @@ def build_segment_tables(
         "sum_tf": int(tfs.sum()),
         "max_doc_id": int(doc_ids.max()),
     }
-    if positions is not None:
-        return (
-            terms_table, doc_stream.tobytes(), tf_stream.tobytes(),
-            dl_stream.tobytes(), stats, pos_stream,
-        )
-    return terms_table, doc_stream.tobytes(), tf_stream.tobytes(), dl_stream.tobytes(), stats
+    return (
+        terms_table, doc_stream.tobytes(), tf_stream.tobytes(),
+        dl_stream.tobytes(), stats, pos_stream,
+    )
 
 
 def write_segment(

@@ -152,6 +152,23 @@ def test_compact_positional_index_phrase_parity(code_corpus, tmp_path):
     assert a == b
 
 
+def test_compact_positional_index_with_every_doc_deleted(code_corpus, tmp_path):
+    """A positional partition that loses all its pairs compacts to an
+    empty, fsck-clean segment (its position gather has nothing to move)."""
+    from distributed_text_search_ray.pipelines.merge import verify_index
+
+    corpus_dir, _ = code_corpus
+    idx = str(tmp_path / "idxp")
+    build_index(corpus_dir, idx, IndexConfig(num_partitions=4, store_positions=True))
+    delete_docs(idx, [d for d, _ in corpus_docs(corpus_dir)])
+    out = str(tmp_path / "idxp_c")
+    rep = compact_index(idx, out)
+    assert rep["N"] == 0 and rep["total_tokens"] == 0
+    assert all(s["n_postings"] == 0 for s in rep["part_stats"].values())
+    assert verify_index(out, deep=True)["ok"]
+    assert search_topk(out, QUERIES, topk=10).take_all() == []
+
+
 def _add_block_columns(index_dir):
     """Give every terms.parquet the five per-block list columns that
     segments carried before they stopped writing block metadata (one

@@ -393,9 +393,10 @@ def test_segment_format_roundtrip_and_block_decode(tmp_path):
         tfs = np.array([r[2] for r in rows], dtype=np.int64)
         dls = np.array([r[3] for r in rows], dtype=np.int64)
         cfg = IndexConfig(block_size=block_size)
-        tt, db, tb, lb, stats = build_segment_tables(
+        tt, db, tb, lb, stats, pb = build_segment_tables(
             codes, terms, doc_ids, tfs, dls, cfg
         )
+        assert pb is None  # no positions stored
         seg = tmp_path / f"seg_{block_size}"
         seg.mkdir()
         write_segment(str(seg), tt, db, tb, lb)

@@ -35,6 +35,16 @@ def _results(index_dir):
     return sorted(tuple(r.values()) for r in rows)
 
 
+def _segment_bytes(index_dir):
+    root = os.path.join(index_dir, "segments")
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root)
+        for f in files
+        if f != "MANIFEST.json"
+    }
+
+
 def test_merged_index_equals_full_build(split_corpora):
     full_corpus, half_a, half_b, root = split_corpora
     idx_a, idx_b = os.path.join(root, "idx_a"), os.path.join(root, "idx_b")
@@ -51,6 +61,11 @@ def test_merged_index_equals_full_build(split_corpora):
 
     mm, mf_ = read_index_meta(idx_m), read_index_meta(idx_full)
     assert (mm["N"], mm["total_tokens"]) == (mf_["N"], mf_["total_tokens"])
+    # and byte-identical segments: every non-manifest file under segments/
+    got, want = _segment_bytes(idx_m), _segment_bytes(idx_full)
+    assert len(want) == 4 * CFG.num_partitions
+    assert got.keys() == want.keys()
+    assert [f for f in want if got[f] != want[f]] == []
     # attribute sidecar rides along: filtered search works on the merge
     from distributed_text_search_ray.pipelines.search import search_topk_filtered
 

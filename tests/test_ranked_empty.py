@@ -236,6 +236,7 @@ EMPTY_LISTS = {
         lambda fx: s.PhraseSuggestExecutor(fx.idx)(PHRASE_INPUT.empty_table()).schema,
     ),
     "routed": (lambda fx: s.search_topk_routed({"a": fx.idx}, []), lambda fx: TOPK_SCHEMA),
+    "search_after": (lambda fx: s.search_topk_after(fx.idx, []), lambda fx: TOPK_SCHEMA),
     **{
         name: (lambda fx, op=op: op(fx.idx, []), lambda fx: TOPK_SCHEMA)
         for name, op in (

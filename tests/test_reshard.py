@@ -55,6 +55,42 @@ def test_reshard_resumes(salted_index, tmp_path):
     assert rep2.get("skipped") is True
 
 
+@pytest.mark.parametrize("num_partitions,victim", [(8, 5), (2, 1)])
+def test_reshard_partial_resume_rebuilds_only_the_owner(
+    salted_index, tmp_path, num_partitions, victim
+):
+    """A reshard killed mid-way (one output part and the meta removed)
+    resumes by rewriting only that part: split's owning parent (1 -> 1, 5)
+    writes just the missing child, every other task skips, and the output
+    is identical to the uninterrupted run."""
+    import os
+    import shutil
+
+    out = str(tmp_path / f"reshard{num_partitions}")
+    reshard_index(salted_index, out, num_partitions)
+    seg_root = os.path.join(out, "segments")
+
+    def files():
+        return {
+            os.path.relpath(os.path.join(d, f), seg_root): open(os.path.join(d, f), "rb").read()
+            for d, _, names in os.walk(seg_root)
+            for f in names
+        }
+
+    before = files()
+    os.remove(os.path.join(out, "index_meta.json"))
+    shutil.rmtree(os.path.join(seg_root, f"part={victim:05d}"))
+    rep = reshard_index(salted_index, out, num_partitions)
+    seg = rep["phases"]["segments"]
+    assert (seg["built"], seg["skipped"]) == (1, num_partitions - 1)
+    after = files()
+    assert after.keys() == before.keys()
+    rewritten = f"part={victim:05d}/MANIFEST.json"
+    # untouched parts keep even their manifests (written_at included)
+    assert [f for f in before if f != rewritten and after[f] != before[f]] == []
+    assert _rows(out) == _rows(salted_index)
+
+
 def test_reshard_rejects_bad_counts(salted_index, tmp_path):
     with pytest.raises(ValueError):
         reshard_index(salted_index, str(tmp_path / "x1"), 4)
