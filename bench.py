@@ -427,20 +427,11 @@ def run_reference_shapes() -> dict:
     return {"metric": "reference_scenarios_apm", "num_cpus": NUM_CPUS, "scenarios": out}
 
 
-def _result_stream():
-    """Send everything but the result to stderr: point fd 1 at fd 2 and
-    return a stream on the original stdout. Ray's raylet warnings (e.g. "N
-    PYTHON worker processes have been started") reach the driver's stdout
-    even with ``log_to_driver=False``, and a caller — the ``--scaling``
-    modes included — parses the whole stdout as one JSON document."""
-    sys.stdout.flush()
-    result = os.fdopen(os.dup(1), "w")
-    os.dup2(2, 1)
-    return result
-
-
 if __name__ == "__main__":
-    result = _result_stream()
+    from distributed_text_search_ray.util import result_stream
+
+    # the --scaling modes parse their workers' whole stdout as one JSON document
+    result = result_stream()
     if "--reference-shapes" in sys.argv:
         res = run_reference_shapes()
     elif "--scaling-apm-worker" in sys.argv:

@@ -24,6 +24,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from distributed_text_search_ray.functions.lev import windowed_match_counts_multi
+from distributed_text_search_ray.util import cluster_cpus
 
 import ray
 
@@ -147,10 +148,7 @@ def windowed_match_counts(
     # the documents ONCE (ray.put) and make pattern-chunks the dataset --
     # parallelism = n_chunks, zero shuffle. Otherwise one scan stage over the
     # doc stream with partial counts + groupby-sum (the large-corpus regime).
-    try:
-        approx_bytes = docs.size_bytes()
-    except Exception:
-        approx_bytes = None
+    approx_bytes = docs.size_bytes()  # None when Ray cannot tell
     # broadcast plan pays off when patterns dominate (DISTRIBUTE_PATTERNS
     # regime) or the corpus is interactive-tiny; a medium corpus with few
     # patterns segments into hundreds of under-filled tiles — the streaming
@@ -197,10 +195,7 @@ def windowed_match_counts(
         # documents) are dealt round-robin into at most num_cpus tiles, each
         # one kernel call. Per-op DP lanes stay <= 256 KB so concurrent
         # tiles don't thrash the shared cache on pattern-heavy shapes.
-        try:
-            ncpu = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
+        ncpu = cluster_cpus()
         m_max = max((len(p) for _, p, _ in pats), default=0)
         seg_chars = 16384
         segments: list[tuple[int, int, int]] = []
@@ -338,10 +333,7 @@ def _concat_streaming(
                 parts.append(h)
                 need -= len(h)
             halos.append("".join(parts))
-        try:
-            ncpu = int(_ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            ncpu = 8
+        ncpu = cluster_cpus()
         n_chunks = max(1, ncpu // len(keep)) if len(keep) < ncpu else 1
         pat_chunk = max(1, -(-len(pats) // n_chunks))
         chunks = [pats[i : i + pat_chunk] for i in range(0, len(pats), pat_chunk)]

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from distributed_text_search_ray.util import agg_rename
+from distributed_text_search_ray.util import agg_rename, cluster_cpus
 
 _PA_JOIN_TYPE = {"inner": "inner", "left": "left outer", "right": "right outer"}
 
@@ -52,13 +52,7 @@ def _clamp_to_cpus(num_partitions: int) -> int:
     """Ray's hash shuffle holds one aggregator actor per partition for the
     whole join; partitions > cluster CPUs deadlocks the pool (reproduced at
     32 partitions on a 4-CPU session), so clamp."""
-    import ray as _ray
-
-    try:
-        ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return max(1, min(num_partitions, ncpu))
+    return max(1, min(num_partitions, cluster_cpus()))
 
 
 def hash_join(

@@ -58,11 +58,15 @@ def trigram_index_config(
     )
 
 
-def _needle_rows(needles: Iterable[tuple[int, str]]) -> list[dict]:
-    items = [{"needle_id": int(q), "needle": str(s)} for q, s in needles]
-    if not items:
-        raise ValueError("no needles given")
-    return items
+def _needle_rows(needles: Iterable[tuple[int, str]]) -> pa.Table:
+    """(needle_id, needle) pairs as a typed table, typed even when empty."""
+    needles = list(needles)
+    return pa.table(
+        {
+            "needle_id": pa.array([int(q) for q, _ in needles], pa.int64()),
+            "needle": pa.array([str(s) for _, s in needles], pa.string()),
+        }
+    )
 
 
 def _empty_out() -> pa.Table:
@@ -121,7 +125,8 @@ def substring_search(
     """(needle_id, doc_id, n_occurrences) for every doc whose content
     contains the needle, case-insensitive, overlapping starts counted —
     answered purely from a positional char-trigram index. Result-identical
-    to ``substring_match_counts`` for needles >= the index n-gram width."""
+    to ``substring_match_counts`` for needles >= the index n-gram width.
+    No needles: zero rows of ``OUT_SCHEMA``."""
     # one needle per batch: a common trigram decodes corpus-scale positions,
     # so a small needle batch must fan out over one task per CPU
     return index_stage(
@@ -142,8 +147,6 @@ class _SubstringScanCounter:
             (int(qid), re.compile("(?=" + re.escape(self._lower(str(s))) + ")"))
             for qid, s in needles
         ]
-        if not self.pats:
-            raise ValueError("no needles given")
         for qid, p in self.pats:
             if p.pattern == "(?=)":
                 raise ValueError(f"empty needle (id {qid})")
@@ -179,6 +182,8 @@ def substring_match_counts(
     """Scan plan over the corpus — same output contract as
     ``substring_search``, no index required, any needle length >= 1."""
     counter = _SubstringScanCounter(list(needles))  # compiled once, shipped
+    if not counter.pats:
+        return ray.data.from_arrow(_empty_out())
 
     def f(batch: pa.Table) -> pa.Table:
         return counter(batch, text_column=text_column)

@@ -505,7 +505,11 @@ class QueryExecutor:
     ``rank(row)`` for each input row's ranked ``(doc_ids, scores)`` and
     emits them as one ``TOPK_SCHEMA`` table (``ID_COLUMN`` names the id
     column). Subclasses change what a row means by overriding ``rank``, or
-    the scoring function by overriding ``_score``."""
+    the scoring function by overriding ``_score``. Under the base ``rank``
+    a row's result depends only on its analyzed terms, so the batch reads
+    just its query column and calls ``_score`` once per distinct term set
+    (a bulk batch repeats popular queries, and "Foo bar" and "bar foo"
+    analyze alike); an overridden ``rank`` runs once per row."""
 
     ID_COLUMN = "query_id"
 
@@ -522,7 +526,10 @@ class QueryExecutor:
         self.tokenizer = Tokenizer(self.view.cfg.analyzer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ranked = [self.rank(row) for row in batch.to_pylist()]
+        if type(self).rank is QueryExecutor.rank:
+            ranked = self._rank_distinct(batch.column("query").to_pylist())
+        else:
+            ranked = [self.rank(row) for row in batch.to_pylist()]
         n = np.array([len(d) for d, _ in ranked], dtype=np.int64)
         first = np.repeat(np.cumsum(n) - n, n)
         docs, scores = zip(no_hits(), *ranked)
@@ -540,6 +547,13 @@ class QueryExecutor:
     def rank(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
         """One input row's ranked (doc_ids, scores)."""
         return self._score(self._terms(row["query"]), self.topk)
+
+    def _rank_distinct(self, queries: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``rank`` of each query text, scoring each distinct analyzed term
+        set once (its rows share the arrays)."""
+        terms = {q: tuple(self._terms(q)) for q in dict.fromkeys(queries)}
+        scored = {t: self._score(list(t), self.topk) for t in dict.fromkeys(terms.values())}
+        return [scored[terms[q]] for q in queries]
 
     def _terms(self, text: str) -> list[str]:
         return sorted(set(self.tokenizer.tokens(text)))

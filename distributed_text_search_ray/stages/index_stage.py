@@ -6,6 +6,16 @@ and keeps (``executor.open_view``), so the stage runs as plain Ray tasks and
 no actor pool starts per call. Each task builds its executor once, on its
 first batch, around the worker's view(s) of the generation current at that
 moment.
+
+A stage's blocks and its executor calls follow two rules. Blocks: a list
+or table input is cut into ``min(ceil(n / batch_size), cluster CPUs)``
+blocks, one task each. Calls: under the default ``batch_size`` each block
+is one executor call, so a scorer sees its task's whole share of the
+queries at once; a Dataset input, whose blocks can be any size, is cut
+into calls of at most ``DATASET_CALL_ROWS`` rows so that it still
+streams. A caller that passes its own ``batch_size`` also caps every
+call at that many rows (one-row calls for operators whose single query can
+decode corpus-scale postings).
 """
 
 from __future__ import annotations
@@ -18,6 +28,13 @@ import ray
 import ray.data
 
 from distributed_text_search_ray.stages.executor import open_view
+from distributed_text_search_ray.util import cluster_cpus
+
+# the default block rule: at least 8 rows per block before another CPU's
+# task is worth its scheduling
+_BLOCK_ROWS = 8
+# rows per executor call over a Dataset input under the default batch size
+DATASET_CALL_ROWS = 1024
 
 
 def _open(index):
@@ -35,9 +52,8 @@ def _row_blocks(rows: list[dict] | pa.Table, batch_size: int) -> ray.data.Datase
     per tiny block costs scheduling, not work)."""
     if not rows:
         return ray.data.from_items(rows)
-    # before Ray starts (from_arrow starts it) the cluster size is unknown
-    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
-    n_blocks = max(1, min(math.ceil(len(rows) / batch_size), cpus))
+    # before Ray starts (from_arrow starts it) this counts one CPU
+    n_blocks = max(1, min(math.ceil(len(rows) / batch_size), cluster_cpus()))
     step = math.ceil(len(rows) / n_blocks)
     table = rows if isinstance(rows, pa.Table) else pa.Table.from_pylist(rows)
     return ray.data.from_arrow([table.slice(i, step) for i in range(0, len(rows), step)])
@@ -62,10 +78,14 @@ def index_stage(
     executor,
     index,
     *,
-    batch_size: int | None = 8,
+    batch_size: int | None = _BLOCK_ROWS,
     **kwargs,
 ) -> ray.data.Dataset:
     """``executor(views, **kwargs)`` applied to ``rows`` as a task stage.
+
+    ``batch_size``: the block rule; left at its default it sets nothing
+    else (see the module docstring). Any other value, ``None`` included,
+    is also the rows of each call, as ``map_batches`` takes it.
 
     ``index``: an index path or alias, or a list or dict of them; the
     executor receives the open view(s) in its place. ``None``: the stage
@@ -87,8 +107,12 @@ def index_stage(
 
     if isinstance(rows, pa.Table) and not rows.num_rows:
         return ray.data.from_arrow(run(rows))
-    if not isinstance(rows, ray.data.Dataset):
+    default = batch_size == _BLOCK_ROWS
+    if isinstance(rows, ray.data.Dataset):
+        per_call = DATASET_CALL_ROWS if default else batch_size
+    else:
+        per_call = None if default else batch_size
         rows = _row_blocks(rows, batch_size or 1)
     # Ray Data names the operator after the function
     run.__name__ = run.__qualname__ = executor.__name__
-    return rows.map_batches(run, batch_format="pyarrow", batch_size=batch_size)
+    return rows.map_batches(run, batch_format="pyarrow", batch_size=per_call)

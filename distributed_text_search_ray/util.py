@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -33,6 +35,27 @@ def round_half_away(x, ndigits: int = 6):
         return x  # huge finite, inf, or nan: DuckDB round returns x
     f = math.floor(ax)
     return math.copysign((f + 1 if ax - f >= 0.5 else f) / p, x)
+
+
+def cluster_cpus() -> int:
+    """The Ray cluster's CPU count; 1 before Ray starts, when the cluster
+    size is not known yet."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
+
+
+def result_stream():
+    """Send everything but a script's result to stderr: point fd 1 at fd 2
+    and return a stream on the original stdout. Ray's raylet warnings (e.g.
+    "N PYTHON worker processes have been started") reach the driver's
+    stdout even with ``log_to_driver=False``, and a caller parses the
+    script's stdout (``bench.py``: one JSON document; ``crosscheck.py``:
+    one line per query). Call it before Ray starts."""
+    sys.stdout.flush()
+    result = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)
+    return result
 
 
 def collect_table(ds):

@@ -6,7 +6,10 @@ row sets: row count, schema width, and order-insensitive value equality with
 columns sorted by name (floats compared exactly — both sides round
 identically).
 
-Usage: python scripts/crosscheck.py [sf_dir]
+Usage: python scripts/crosscheck.py [sf_dir] [query name ...]
+
+stdout holds only the per-query lines and the FAILURES line; Ray's logs
+and raylet warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def canon_rows(table) -> list[tuple]:
     return sorted(pyrows, key=repr)
 
 
-def main(sf_dir: str, only: list[str] | None = None):
+def main(sf_dir: str, only: list[str] | None = None, out=sys.stdout):
     import duckdb
     import ray
 
@@ -74,12 +77,12 @@ def main(sf_dir: str, only: list[str] | None = None):
         try:
             got = to_table(fn(sf_dir))
         except Exception as ex:
-            print(f"{name:24s} ERROR {type(ex).__name__}: {ex}")
+            print(f"{name:24s} ERROR {type(ex).__name__}: {ex}", file=out)
             failures.append(name)
             continue
         ray_sec = time.perf_counter() - t0
         if name not in oracles:
-            print(f"{name:24s} rows-only  rows={got.num_rows:6d}  ({ray_sec:.2f}s)")
+            print(f"{name:24s} rows-only  rows={got.num_rows:6d}  ({ray_sec:.2f}s)", file=out)
             continue
         t0 = time.perf_counter()
         want = con.execute(oracles[name]).fetch_arrow_table()
@@ -91,7 +94,8 @@ def main(sf_dir: str, only: list[str] | None = None):
         print(
             f"{name:24s} {status} rows={got.num_rows:6d}/{want.num_rows:<6d} "
             f"cols={'=' if ok_cols else 'DIFF'} vals={'=' if ok_vals else 'DIFF'} "
-            f"(ray {ray_sec:.2f}s, sql {sql_sec:.2f}s)"
+            f"(ray {ray_sec:.2f}s, sql {sql_sec:.2f}s)",
+            file=out,
         )
         if not (ok_rows and ok_cols and ok_vals):
             failures.append(name)
@@ -99,18 +103,21 @@ def main(sf_dir: str, only: list[str] | None = None):
                 g, w = canon_rows(got), canon_rows(want)
                 diff = [i for i, (a, b) in enumerate(zip(g, w)) if a != b][:3]
                 for i in diff:
-                    print(f"   mine: {g[i]}\n   want: {w[i]}")
+                    print(f"   mine: {g[i]}\n   want: {w[i]}", file=out)
             else:
-                print(f"   my cols:  {sorted(got.column_names)}")
-                print(f"   sql cols: {sorted(want.column_names)}")
-    print("FAILURES:", failures if failures else "none")
+                print(f"   my cols:  {sorted(got.column_names)}", file=out)
+                print(f"   sql cols: {sorted(want.column_names)}", file=out)
+    print("FAILURES:", failures if failures else "none", file=out, flush=True)
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
+    from distributed_text_search_ray.util import result_stream
+
     sys.exit(
         main(
             sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01",
             sys.argv[2:] or None,
+            out=result_stream(),
         )
     )

@@ -98,6 +98,29 @@ def test_overlapping_occurrences_counted(tmp_path):
     assert got == {(0, 1): 3, (1, 2): 2}  # overlapping starts
 
 
+def test_no_needles_give_typed_empty_output(trigram_index):
+    from distributed_text_search_ray.pipelines.substring import OUT_SCHEMA
+    from distributed_text_search_ray.sources.corpus import read_corpus
+    from distributed_text_search_ray.util import collect_table
+
+    corpus_dir, index_dir = trigram_index
+    for ds in (
+        substring_search(index_dir, []),
+        substring_match_counts(read_corpus(corpus_dir), []),
+    ):
+        got = collect_table(ds)
+        assert got.num_rows == 0
+        assert got.schema == OUT_SCHEMA
+
+
+def test_empty_needle_is_rejected_by_the_scan_plan(trigram_index):
+    from distributed_text_search_ray.sources.corpus import read_corpus
+
+    corpus_dir, _ = trigram_index
+    with pytest.raises(ValueError, match=r"empty needle \(id 3\)"):
+        substring_match_counts(read_corpus(corpus_dir), [(0, "def"), (3, "")])
+
+
 def test_short_needle_raises_on_indexed_plan_but_scans(trigram_index):
     from distributed_text_search_ray.sources.corpus import read_corpus
 
